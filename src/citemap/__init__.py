@@ -58,7 +58,16 @@ from .network import (
     relevance_scores,
     select_top_terms,
 )
-from .pipeline import PipelineConfig, PipelineResult, analyze, builtin_corpus_path, compare_networks, run_pipeline
+from .pipeline import (
+    NetworkResult,
+    PipelineConfig,
+    PipelineResult,
+    analyze,
+    build_network,
+    builtin_corpus_path,
+    compare_networks,
+    run_pipeline,
+)
 from .providers import (
     FileProvider,
     GraphProvider,
@@ -74,8 +83,6 @@ from .terms import (
     TermCandidate,
     TextUnit,
     build_lexicon,
-    default_exclusions,
-    default_stoplist,
     extract_candidates,
     load_thesaurus,
     load_word_list,

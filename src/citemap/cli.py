@@ -1,9 +1,20 @@
 """Command-line front end.
 
-Subcommands run the pipeline up to a stage and write that stage's artifact:
-ingest (corpus stats, or fetch+dump from a provider), extract (lexicon),
-build (network files), cluster, layout, export, compare, and pipeline
-(everything plus the manifest). Settings come from flags, which override a
+Each subcommand runs the pipeline only as far as the files it writes need:
+
+    subcommand  stages run                                    files written
+    ingest      corpus load, or a provider fetch              corpus_stats.json (and corpus.jsonl when fetching)
+    extract     network stage                                 lexicon.tsv
+    build       network stage                                 network.tsv, network_terms.tsv
+    cluster     network stage, cluster                        clusters.tsv
+    layout      network stage, cluster, layout                map.tsv
+    export      network stage, cluster, layout                map.tsv, network.tsv, network_terms.tsv, graph.json, map.svg
+    compare     network stage, cluster, layout, per network   comparison.json
+    pipeline    network stage, cluster, layout                export's files, corpus_stats.json, manifest.json
+
+The network stage is ingest, units, lexicon, co-occurrence, relevance cut and
+association strength. If writing fails, build, layout, export and pipeline
+remove every file in their row. Settings come from flags, which override a
 JSON config file, which overrides the built-in defaults.
 
 Exit codes: 0 success, 2 configuration error, 3 input/parse error,
@@ -13,7 +24,6 @@ Exit codes: 0 success, 2 configuration error, 3 input/parse error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -26,25 +36,17 @@ from .errors import (
     ProviderError,
     StageError,
 )
-from .exports import export_graph_json, export_map, export_network, render_svg
-from .pipeline import PipelineConfig, analyze, compare_networks, run_pipeline
+from .pipeline import (
+    PipelineConfig,
+    analyze,
+    build_network,
+    cluster_network,
+    compare_networks,
+    run_pipeline,
+    write_json,
+    write_outputs,
+)
 from .providers import HttpProvider, ProviderSpec, fetch_citing_with_contexts, fetch_publications
-
-_FLAG_TO_FIELD = {
-    "corpus": "corpus",
-    "mode": "mode",
-    "doc_set": "doc_set",
-    "min_occurrences": "min_occurrences",
-    "counting": "counting",
-    "relevance_fraction": "relevance_fraction",
-    "resolution": "resolution",
-    "seed": "seed",
-    "restarts": "restarts",
-    "stoplist": "stoplist",
-    "exclusions": "exclusions",
-    "thesaurus": "thesaurus",
-    "out": "out_dir",
-}
 
 def _settings_parser() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
@@ -65,7 +67,7 @@ def _settings_parser() -> argparse.ArgumentParser:
     group.add_argument("--stoplist", help="stoplist file (default: bundled)")
     group.add_argument("--exclusions", help="exclusion list file (default: bundled)")
     group.add_argument("--thesaurus", help="thesaurus TSV (variant<TAB>canonical)")
-    group.add_argument("--out", help="output directory (default out)")
+    group.add_argument("--out", dest="out_dir", help="output directory (default out)")
     return parent
 
 
@@ -74,17 +76,12 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         config = PipelineConfig.from_file(args.config)
     else:
         config = PipelineConfig()
-    for flag, field_name in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag, None)
+    for name in PipelineConfig.__dataclass_fields__:
+        value = getattr(args, name, None)
         if value is not None:
-            setattr(config, field_name, value)
+            setattr(config, name, value)
     config.validate()
     return config
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
 
 
 def _out_dir(config: PipelineConfig) -> Path:
@@ -113,7 +110,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         raise ConfigError("either --corpus or --provider-config is required")
     docs, contexts = load_corpus(config.corpus)
     stats = dataset_stats(docs.filter_tag("cited"), docs.filter_tag("citing"), contexts)
-    _write_json(out / "corpus_stats.json", stats.to_dict())
+    write_json(out / "corpus_stats.json", stats.to_dict())
     print(f"{stats.n_cited} cited, {stats.n_citing} citing, {stats.n_contexts} contexts, "
           f"overlap {stats.n_overlap} -> {out / 'corpus_stats.json'}")
     return 0
@@ -121,7 +118,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    result = analyze(config)
+    result = build_network(config)
     out = _out_dir(config)
     lexicon_path = out / "lexicon.tsv"
     rows = [f"{entry.term}\t{entry.occurrence_count}" for entry in result.lexicon]
@@ -132,35 +129,31 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_build(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    result = analyze(config)
-    out = _out_dir(config)
-    export_network(result.network, out / "network.tsv", out / "network_terms.tsv")
+    result = build_network(config)
+    paths = write_outputs(result, ("network.tsv", "network_terms.tsv"))
     provenance = result.network.provenance
     print(f"{len(result.network.terms)} terms ({provenance.get('retained_before_exclusions')} before exclusions), "
-          f"{len(result.network.edges)} edges -> {out / 'network.tsv'}")
+          f"{len(result.network.edges)} edges -> {paths['network.tsv']}")
     return 0
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    result = analyze(config)
+    result = build_network(config)
+    clustering = cluster_network(result)
     out = _out_dir(config)
     path = out / "clusters.tsv"
-    rows = [
-        f"{i + 1}\t{node.term}\t{result.clustering.assignment[i]}"
-        for i, node in enumerate(result.network.terms)
-    ]
+    rows = [f"{i + 1}\t{node.term}\t{clustering.assignment[i]}" for i, node in enumerate(result.network.terms)]
     path.write_text("\n".join(rows) + ("\n" if rows else ""), encoding="utf-8", newline="\n")
-    print(f"{result.clustering.n_clusters} clusters at resolution {config.resolution} "
-          f"(quality {result.clustering.quality:.6f}) -> {path}")
+    print(f"{clustering.n_clusters} clusters at resolution {config.resolution} "
+          f"(quality {clustering.quality:.6f}) -> {path}")
     return 0
 
 
 def cmd_layout(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     result = analyze(config)
-    out = _out_dir(config)
-    path = export_map(result.map_layout, result.network, result.clustering, out / "map.tsv")
+    path = write_outputs(result, ("map.tsv",))["map.tsv"]
     state = "converged" if result.map_layout.converged else "max_iter reached"
     print(f"layout objective {result.map_layout.objective:.6f} ({state}, "
           f"{result.map_layout.iterations_used} iterations) -> {path}")
@@ -169,14 +162,8 @@ def cmd_layout(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    result = analyze(config)
-    out = _out_dir(config)
-    export_map(result.map_layout, result.network, result.clustering, out / "map.tsv")
-    export_network(result.network, out / "network.tsv", out / "network_terms.tsv")
-    export_graph_json(result.network, result.similarity, result.map_layout, result.clustering, out / "graph.json")
-    render_svg(result.map_layout, result.network, result.clustering, out / "map.svg",
-               sim=result.similarity, node_scale=config.svg_node_scale)
-    print(f"wrote map.tsv, network.tsv, network_terms.tsv, graph.json, map.svg under {out}")
+    paths = write_outputs(analyze(config), ("map.tsv", "network.tsv", "network_terms.tsv", "graph.json", "map.svg"))
+    print(f"wrote {', '.join(paths)} under {Path(config.out_dir)}")
     return 0
 
 

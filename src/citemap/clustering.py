@@ -238,18 +238,6 @@ def _chain_pass(adj: list[dict[int, float]], sizes: list[int], labels: list[int]
     return best_cum > 1e-12
 
 
-def _quality_raw(adj: list[dict[int, float]], labels: list[int], resolution: float) -> float:
-    edge_part = 0.0
-    for v in range(len(adj)):
-        for u in sorted(adj[v]):
-            if u > v and labels[u] == labels[v]:
-                edge_part += adj[v][u]
-    sizes: dict[int, int] = {}
-    for label in labels:
-        sizes[label] = sizes.get(label, 0) + 1
-    return edge_part - resolution * sum(s * (s - 1) // 2 for s in sizes.values())
-
-
 def _canonical(labels: list[int]) -> tuple[int, ...]:
     """Relabel clusters 1..K in order of first appearance."""
     mapping: dict[int, int] = {}
@@ -279,18 +267,18 @@ def cluster(sim: SimilarityMatrix, resolution: float = 1.0, seed: int = 42, rest
     for restart in range(restarts):
         rng = random.Random(f"{seed}:{restart}")
         labels = list(range(n))
-        current = _quality_raw(adj, labels, resolution)
+        current = quality(sim, labels, resolution)
         failures = 0
         for _ in range(_MAX_ROUNDS):  # iterate the full cycle while Q improves
             candidate = _slm(adj, [1] * n, resolution, rng, labels)
-            candidate_quality = _quality_raw(adj, candidate, resolution)
+            candidate_quality = quality(sim, candidate, resolution)
             if candidate_quality > current:
                 labels, current = candidate, candidate_quality
                 failures = 0
                 continue
             escaped = list(labels)
             if _chain_pass(adj, [1] * n, escaped, resolution, rng):
-                escaped_quality = _quality_raw(adj, escaped, resolution)
+                escaped_quality = quality(sim, escaped, resolution)
                 if escaped_quality > current:
                     labels, current = escaped, escaped_quality
                     failures = 0

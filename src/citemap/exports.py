@@ -105,9 +105,15 @@ def export_network(net: CoocNetwork, path: str | Path, terms_path: str | Path | 
     rows = [f"{i + 1}\t{j + 1}\t{c}" for (i, j), c in sorted(net.edges.items())]
     path.write_text("\n".join(rows) + ("\n" if rows else ""), encoding="utf-8", newline="\n")
     if terms_path is not None:
-        terms_path = Path(terms_path)
-        term_rows = [f"{i + 1}\t{node.term}\t{node.occurrences}" for i, node in enumerate(net.terms)]
-        terms_path.write_text("\n".join(term_rows) + ("\n" if term_rows else ""), encoding="utf-8", newline="\n")
+        export_terms(net, terms_path)
+    return path
+
+
+def export_terms(net: CoocNetwork, path: str | Path) -> Path:
+    """Write the term sidecar of the edge list: ``index<TAB>term<TAB>occurrences``, 1-based."""
+    path = Path(path)
+    rows = [f"{i + 1}\t{node.term}\t{node.occurrences}" for i, node in enumerate(net.terms)]
+    path.write_text("\n".join(rows) + ("\n" if rows else ""), encoding="utf-8", newline="\n")
     return path
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable
@@ -22,7 +22,7 @@ from .clustering import Clustering, cluster
 from .compare import ComparisonReport, triplet_report
 from .corpus import CitationContext, DocumentSet, dataset_stats, load_corpus
 from .errors import CitemapError, ConfigError, StageError
-from .exports import export_graph_json, export_map, export_network, render_svg
+from .exports import export_graph_json, export_map, export_network, export_terms, render_svg
 from .layout import MapLayout, layout
 from .network import (
     CoocNetwork,
@@ -38,11 +38,9 @@ from .terms import (
     Lexicon,
     TextUnit,
     build_lexicon,
-    default_exclusions,
-    default_stoplist,
-    load_thesaurus,
-    load_word_list,
     make_units,
+    parse_thesaurus,
+    parse_word_list,
 )
 
 MODES = ("title-abstract", "citation-context")
@@ -128,54 +126,58 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _read_word_list(path: str | None, bundled: str | None) -> bytes | None:
+    """The configured file's bytes, else the bundled file's, else None."""
+    if path:
+        return Path(path).read_bytes()
+    if bundled:
+        return resources.files("citemap").joinpath(f"data/{bundled}").read_bytes()
+    return None
+
+
 def _resolve_word_lists(config: PipelineConfig) -> WordLists:
-    digests: dict[str, str | None] = {}
-    if config.stoplist:
-        stoplist = frozenset(load_word_list(config.stoplist))
-        digests["stoplist"] = _sha256(Path(config.stoplist).read_bytes())
-    else:
-        stoplist = default_stoplist()
-        digests["stoplist"] = _sha256(resources.files("citemap").joinpath("data/stoplist.txt").read_bytes())
-    if config.exclusions:
-        exclusions = frozenset(load_word_list(config.exclusions))
-        digests["exclusions"] = _sha256(Path(config.exclusions).read_bytes())
-    else:
-        exclusions = default_exclusions()
-        digests["exclusions"] = _sha256(resources.files("citemap").joinpath("data/exclusions.txt").read_bytes())
-    if config.thesaurus:
-        thesaurus = load_thesaurus(config.thesaurus)
-        digests["thesaurus"] = _sha256(Path(config.thesaurus).read_bytes())
-    else:
-        thesaurus = {}
-        digests["thesaurus"] = None
-    return WordLists(stoplist, exclusions, thesaurus, digests)
+    raw = {
+        "stoplist": _read_word_list(config.stoplist, "stoplist.txt"),
+        "exclusions": _read_word_list(config.exclusions, "exclusions.txt"),
+        "thesaurus": _read_word_list(config.thesaurus, None),
+    }
+    # parse and digest the same bytes, so the manifest names what was used
+    text = {name: data.decode("utf-8") if data is not None else "" for name, data in raw.items()}
+    return WordLists(
+        stoplist=frozenset(parse_word_list(text["stoplist"])),
+        exclusions=frozenset(parse_word_list(text["exclusions"])),
+        thesaurus=parse_thesaurus(text["thesaurus"], config.thesaurus),
+        digests={name: _sha256(data) if data is not None else None for name, data in raw.items()},
+    )
 
 
 @dataclass
-class PipelineResult:
-    """Everything one run produced, for programmatic use and the exporters."""
+class NetworkResult:
+    """The network stage of one run: ingest through association strength."""
 
     config: PipelineConfig
     documents: DocumentSet
     contexts: list[CitationContext]
     units: list[TextUnit]
     lexicon: Lexicon
-    full_network: CoocNetwork
     network: CoocNetwork
     similarity: SimilarityMatrix
-    clustering: Clustering
-    map_layout: MapLayout
     word_lists: WordLists
     corpus_digest: str
-    warnings: list[str] = field(default_factory=list)
+
+
+@dataclass
+class PipelineResult(NetworkResult):
+    """Everything one run produced, for programmatic use and the exporters."""
+
+    clustering: Clustering
+    map_layout: MapLayout
 
 
 def _stage(name: str, call: Callable):
     try:
         return call()
-    except CitemapError as exc:
-        raise StageError(name, exc) from exc
-    except (ValueError, OSError) as exc:
+    except (CitemapError, ValueError, OSError) as exc:
         raise StageError(name, exc) from exc
 
 
@@ -189,8 +191,8 @@ def _select_units(config: PipelineConfig, docs: DocumentSet, contexts: list[Cita
     return make_units(selected, TITLE_ABSTRACT)
 
 
-def analyze(config: PipelineConfig) -> PipelineResult:
-    """Run every computation stage (no files written)."""
+def build_network(config: PipelineConfig) -> NetworkResult:
+    """Run ingest, units, lexicon, co-occurrence, relevance cut and association strength."""
     config.validate()
     if not config.corpus:
         raise ConfigError("no corpus path configured; fetch one with 'ingest' first")
@@ -215,11 +217,11 @@ def analyze(config: PipelineConfig) -> PipelineResult:
     if len(lexicon) == 0:
         raise StageError("lexicon", ValueError(f"empty lexicon: no term occurs in {config.min_occurrences}+ units"))
 
-    full_network = _stage("network", lambda: count_cooccurrences(units, lexicon, config.counting))
+    counted = _stage("network", lambda: count_cooccurrences(units, lexicon, config.counting))
 
     def _relevance_cut() -> CoocNetwork:
-        scores = relevance_scores(full_network)
-        selected = select_top_terms(full_network, scores, config.relevance_fraction, word_lists.exclusions)
+        scores = relevance_scores(counted)
+        selected = select_top_terms(counted, scores, config.relevance_fraction, word_lists.exclusions)
         strengths = selected.node_strengths()
         connected = [i for i, w in enumerate(strengths) if w > 0]
         if len(connected) < len(selected.terms):
@@ -229,27 +231,33 @@ def analyze(config: PipelineConfig) -> PipelineResult:
 
     network = _stage("relevance", _relevance_cut)
     similarity = _stage("relevance", lambda: association_strength(network))
-
-    clustering = _stage(
-        "cluster", lambda: cluster(similarity, config.resolution, config.seed, config.restarts)
-    )
-    map_layout = _stage(
-        "layout", lambda: layout(similarity, config.seed, config.layout_max_iter, config.layout_tol)
-    )
-    return PipelineResult(
+    return NetworkResult(
         config=config,
         documents=docs,
         contexts=contexts,
         units=units,
         lexicon=lexicon,
-        full_network=full_network,
         network=network,
         similarity=similarity,
-        clustering=clustering,
-        map_layout=map_layout,
         word_lists=word_lists,
         corpus_digest=corpus_digest,
     )
+
+
+def cluster_network(net: NetworkResult) -> Clustering:
+    """Cluster the network's terms at the configured resolution, seed and restarts."""
+    config = net.config
+    return _stage("cluster", lambda: cluster(net.similarity, config.resolution, config.seed, config.restarts))
+
+
+def analyze(config: PipelineConfig) -> PipelineResult:
+    """Run every computation stage (no files written)."""
+    net = build_network(config)
+    clustering = cluster_network(net)
+    map_layout = _stage(
+        "layout", lambda: layout(net.similarity, config.seed, config.layout_max_iter, config.layout_tol)
+    )
+    return PipelineResult(**vars(net), clustering=clustering, map_layout=map_layout)
 
 
 def build_manifest(result: PipelineResult, outputs: Iterable[str]) -> dict:
@@ -281,61 +289,58 @@ def build_manifest(result: PipelineResult, outputs: Iterable[str]) -> dict:
     }
 
 
-OUTPUT_NAMES = (
-    "map.tsv",
-    "network.tsv",
-    "network_terms.tsv",
-    "graph.json",
-    "map.svg",
-    "corpus_stats.json",
-    "manifest.json",
-)
+def write_json(path: Path, payload: dict) -> None:
+    """Write ``payload`` as indented JSON with sorted keys, UTF-8, LF endings."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
+
+
+def _corpus_stats(result: NetworkResult) -> dict:
+    docs = result.documents
+    return dataset_stats(docs.filter_tag("cited"), docs.filter_tag("citing"), result.contexts).to_dict()
+
+
+# Output name -> writer(result, path), in the order a full run writes them;
+# the manifest comes last. The network writers need only a NetworkResult.
+WRITERS: dict[str, Callable[[PipelineResult, Path], object]] = {
+    "map.tsv": lambda r, p: export_map(r.map_layout, r.network, r.clustering, p),
+    "network.tsv": lambda r, p: export_network(r.network, p),
+    "network_terms.tsv": lambda r, p: export_terms(r.network, p),
+    "graph.json": lambda r, p: export_graph_json(r.network, r.similarity, r.map_layout, r.clustering, p),
+    "map.svg": lambda r, p: render_svg(r.map_layout, r.network, r.clustering, p,
+                                       sim=r.similarity, node_scale=r.config.svg_node_scale),
+    "corpus_stats.json": lambda r, p: write_json(p, _corpus_stats(r)),
+    "manifest.json": lambda r, p: write_json(p, build_manifest(r, OUTPUT_NAMES)),
+}
+OUTPUT_NAMES = tuple(WRITERS)
+
+
+def write_outputs(result: NetworkResult, names: Iterable[str]) -> dict[str, Path]:
+    """Write the named outputs, in order, into ``result.config.out_dir``.
+
+    If any writer fails, every named file is removed, including one left by
+    an earlier run, so the directory never mixes two runs. Returns name ->
+    path.
+    """
+    out_dir = Path(result.config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = {name: out_dir / name for name in names}
+    try:
+        for name, path in paths.items():
+            WRITERS[name](result, path)
+    except Exception as exc:
+        for path in paths.values():
+            path.unlink(missing_ok=True)
+        raise StageError("export", exc) from exc
+    return paths
 
 
 def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
-    """Execute all stages and write every artifact into ``config.out_dir``.
+    """Execute all stages and write every output into ``config.out_dir``.
 
-    Any stage failure aborts with the stage name and removes whatever was
-    already written. Returns artifact name -> path.
+    Any stage failure aborts with the stage name; a failed export leaves none
+    of ``OUTPUT_NAMES`` behind. Returns output name -> path.
     """
-    result = analyze(config)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    paths: dict[str, Path] = {}
-
-    stats = dataset_stats(
-        result.documents.filter_tag("cited"),
-        result.documents.filter_tag("citing"),
-        result.contexts,
-    )
-    try:
-        def _write(name: str, writer: Callable[[Path], object]) -> None:
-            target = out_dir / name
-            writer(target)
-            written.append(target)
-            paths[name] = target
-
-        _write("map.tsv", lambda p: export_map(result.map_layout, result.network, result.clustering, p))
-        _write("network.tsv", lambda p: export_network(result.network, p, out_dir / "network_terms.tsv"))
-        paths["network_terms.tsv"] = out_dir / "network_terms.tsv"
-        written.append(out_dir / "network_terms.tsv")
-        _write("graph.json", lambda p: export_graph_json(result.network, result.similarity,
-                                                         result.map_layout, result.clustering, p))
-        _write("map.svg", lambda p: render_svg(result.map_layout, result.network, result.clustering, p,
-                                               sim=result.similarity, node_scale=config.svg_node_scale))
-        _write("corpus_stats.json", lambda p: p.write_text(
-            json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"))
-        manifest = build_manifest(result, OUTPUT_NAMES)
-        _write("manifest.json", lambda p: p.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"))
-    except Exception as exc:
-        for target in written:
-            target.unlink(missing_ok=True)
-        if isinstance(exc, StageError):
-            raise
-        raise StageError("export", exc) from exc
-    return paths
+    return write_outputs(analyze(config), OUTPUT_NAMES)
 
 
 def compare_networks(config: PipelineConfig) -> ComparisonReport:

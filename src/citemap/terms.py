@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -113,7 +112,6 @@ def _singularize(token: str, vocabulary: frozenset[str] | set[str] | None) -> st
 class TermCandidate:
     """One candidate term: a suffix sub-run of a content-token run."""
 
-    surface: str
     normalized: str
     token_count: int
 
@@ -146,7 +144,7 @@ def extract_candidates(
         for start in range(len(run)):
             tokens = run[start:]
             normalized = " ".join(_singularize(t, singular_vocabulary) for t in tokens)
-            candidates.append(TermCandidate(" ".join(tokens), normalized, len(tokens)))
+            candidates.append(TermCandidate(normalized, len(tokens)))
     return candidates
 
 
@@ -157,7 +155,6 @@ class TextUnit:
     unit_id: str
     source: str
     text: str
-    origin: str | tuple[str, str, int]
 
 
 def make_units(source: DocumentSet | Iterable[CitationContext], mode: str) -> list[TextUnit]:
@@ -173,13 +170,13 @@ def make_units(source: DocumentSet | Iterable[CitationContext], mode: str) -> li
             if not isinstance(doc, Document):
                 raise ConsistencyError(f"title_abstract mode needs documents, got {type(doc).__name__}")
             text = f"{doc.title} {doc.abstract}" if doc.abstract else doc.title
-            units.append(TextUnit(doc.id, mode, text, doc.id))
+            units.append(TextUnit(doc.id, mode, text))
     elif mode == CITATION_CONTEXT:
         for ctx in source:
             if not isinstance(ctx, CitationContext):
                 raise ConsistencyError(f"citation_context mode needs contexts, got {type(ctx).__name__}")
             unit_id = f"{ctx.citing_id}::{ctx.cited_id}::{ctx.ordinal}"
-            units.append(TextUnit(unit_id, mode, ctx.text, (ctx.citing_id, ctx.cited_id, ctx.ordinal)))
+            units.append(TextUnit(unit_id, mode, ctx.text))
     else:
         raise ConfigError(f"unknown unit mode {mode!r}")
     seen: set[str] = set()
@@ -211,7 +208,6 @@ class Lexicon:
     terms: dict[str, LexiconEntry]
     min_occurrences: int
     n_units: int
-    applied_exclusions: int
     applied_merges: int
 
     def __len__(self) -> int:
@@ -246,21 +242,19 @@ def resolve_thesaurus(mapping: Mapping[str, str]) -> dict[str, str]:
 def build_lexicon(
     units: Sequence[TextUnit],
     min_occurrences: int = 4,
-    exclusions: Iterable[str] = (),
     thesaurus: Mapping[str, str] | None = None,
     stoplist: Iterable[str] = (),
 ) -> Lexicon:
     """Count candidate terms per unit (binary) and keep the frequent ones.
 
     The thesaurus is applied before counting, so merged variants pool their
-    unit sets; exclusion terms are removed after thresholding; a term whose
-    normalized form equals a stoplist word never enters. The result does not
-    depend on unit order.
+    unit sets; a term whose normalized form equals a stoplist word never
+    enters. Exclusions are not applied here but after the relevance cut, by
+    ``select_top_terms``. The result does not depend on unit order.
     """
     if min_occurrences < 1:
         raise ConfigError(f"min_occurrences must be >= 1, got {min_occurrences}")
     stopset = frozenset(stoplist)
-    exclusion_set = frozenset(exclusions)
     canon = resolve_thesaurus(thesaurus or {})
 
     # First pass: segment every unit once; the full token vocabulary drives
@@ -294,9 +288,6 @@ def build_lexicon(
             counts.setdefault(term, {})[unit_id] = times
 
     kept = {term: uc for term, uc in counts.items() if len(uc) >= min_occurrences}
-    removed = sorted(set(kept) & exclusion_set)
-    for term in removed:
-        del kept[term]
 
     entries = {
         term: LexiconEntry(term, dict(sorted(kept[term].items())))
@@ -306,45 +297,38 @@ def build_lexicon(
         terms=entries,
         min_occurrences=min_occurrences,
         n_units=len(units),
-        applied_exclusions=len(removed),
         applied_merges=len(merged_variants),
     )
 
 
-def load_word_list(path: str | Path) -> list[str]:
-    """Read a word-list file: one entry per line, '#' comments, blanks skipped."""
+def parse_word_list(text: str) -> list[str]:
+    """Word-list entries: one per line, lowercased; '#' comments and blanks skipped."""
     entries = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line in text.splitlines():
         entry = line.split("#", 1)[0].strip()
         if entry:
             entries.append(entry.lower())
     return entries
 
 
-def load_thesaurus(path: str | Path) -> dict[str, str]:
-    """Read a two-column TSV thesaurus: variant<TAB>canonical."""
+def load_word_list(path: str | Path) -> list[str]:
+    """Read a word-list file (see ``parse_word_list``)."""
+    return parse_word_list(Path(path).read_text(encoding="utf-8"))
+
+
+def parse_thesaurus(text: str, source: str | Path | None) -> dict[str, str]:
+    """Two-column TSV thesaurus entries, variant<TAB>canonical; errors name ``source``."""
     mapping: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-            raise ParseError(f"{path}:{lineno}: expected 'variant<TAB>canonical'")
+            raise ParseError(f"{source}:{lineno}: expected 'variant<TAB>canonical'")
         mapping[parts[0].strip().lower()] = parts[1].strip().lower()
     return mapping
 
 
-def _builtin(name: str) -> str:
-    return resources.files("citemap").joinpath("data").joinpath(name).read_text(encoding="utf-8")
-
-
-def default_stoplist() -> frozenset[str]:
-    """The bundled English stoplist."""
-    lines = _builtin("stoplist.txt").splitlines()
-    return frozenset(w.split("#", 1)[0].strip().lower() for w in lines if w.split("#", 1)[0].strip())
-
-
-def default_exclusions() -> frozenset[str]:
-    """The bundled exclusion list (structured-abstract boilerplate)."""
-    lines = _builtin("exclusions.txt").splitlines()
-    return frozenset(w.split("#", 1)[0].strip().lower() for w in lines if w.split("#", 1)[0].strip())
+def load_thesaurus(path: str | Path) -> dict[str, str]:
+    """Read a two-column TSV thesaurus file (see ``parse_thesaurus``)."""
+    return parse_thesaurus(Path(path).read_text(encoding="utf-8"), path)

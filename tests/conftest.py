@@ -29,7 +29,7 @@ def ctx(citing: str, cited: str, text: str = "some snippet", ordinal: int = 1) -
 
 
 def unit(unit_id: str, text: str, source: str = "title_abstract") -> TextUnit:
-    return TextUnit(unit_id, source, text, unit_id)
+    return TextUnit(unit_id, source, text)
 
 
 def network(term_occurrences: dict[str, int], edges: dict[tuple[int, int], int],

@@ -81,8 +81,8 @@ def test_criterion_02_counting_oracle():
                 term: LexiconEntry(term, dict(sorted(hits.items())))
                 for term, hits in sorted(incidence.items())
             }
-            lexicon = Lexicon(entries, 1, n_units, 0, 0)
-            units = [TextUnit(uid, "title_abstract", "", uid) for uid in unit_ids]
+            lexicon = Lexicon(entries, 1, n_units, 0)
+            units = [TextUnit(uid, "title_abstract", "") for uid in unit_ids]
             for mode in ("binary", "full"):
                 net = count_cooccurrences(units, lexicon, mode)
                 terms = [node.term for node in net.terms]

@@ -30,12 +30,11 @@ def lexicon_from(unit_counts: dict[str, dict[str, int]], n_units: int) -> Lexico
         term: LexiconEntry(term, dict(sorted(counts.items())))
         for term, counts in sorted(unit_counts.items())
     }
-    return Lexicon(entries, min_occurrences=1, n_units=n_units,
-                   applied_exclusions=0, applied_merges=0)
+    return Lexicon(entries, min_occurrences=1, n_units=n_units, applied_merges=0)
 
 
 def units_named(*unit_ids: str) -> list[TextUnit]:
-    return [TextUnit(uid, "title_abstract", "irrelevant", uid) for uid in unit_ids]
+    return [TextUnit(uid, "title_abstract", "irrelevant") for uid in unit_ids]
 
 
 class TestCountCooccurrences:

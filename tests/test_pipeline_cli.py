@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+import citemap
+import citemap.pipeline as pipeline_module
 import citemap.providers as providers
 from citemap.cli import main
 from citemap.errors import ConfigError, StageError
 from citemap.exports import read_map_file, read_network_file
-from citemap.pipeline import PipelineConfig, analyze, compare_networks, run_pipeline
+from citemap.pipeline import OUTPUT_NAMES, PipelineConfig, analyze, compare_networks, run_pipeline
 
 
 def demo_config(demo_corpus, out_dir, **overrides) -> PipelineConfig:
@@ -79,7 +83,6 @@ class TestRunPipeline:
     def test_stage_error_removes_partial_outputs(self, demo_corpus, tmp_path, monkeypatch):
         out = tmp_path / "out"
         config = demo_config(demo_corpus, out)
-        import citemap.pipeline as pipeline_module
 
         def broken_svg(*args, **kwargs):
             raise OSError("disk full")
@@ -89,6 +92,40 @@ class TestRunPipeline:
             run_pipeline(config)
         leftovers = [p.name for p in out.iterdir()] if out.exists() else []
         assert leftovers == []
+
+    def test_failed_rerun_leaves_no_outputs(self, demo_corpus, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        config = demo_config(demo_corpus, out)
+        run_pipeline(config)
+
+        def broken_svg(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline_module, "render_svg", broken_svg)
+        with pytest.raises(StageError):
+            run_pipeline(config)
+        assert [name for name in OUTPUT_NAMES if (out / name).exists()] == []
+
+    def test_manifest_digests_match_word_list_bytes(self, demo_corpus, tmp_path):
+        def sha256(path: Path) -> str:
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        def inputs(config: PipelineConfig) -> dict:
+            return json.loads(run_pipeline(config)["manifest.json"].read_text(encoding="utf-8"))["inputs"]
+
+        data = Path(citemap.__file__).parent / "data"
+        bundled = inputs(demo_config(demo_corpus, tmp_path / "bundled"))
+        assert bundled["stoplist_sha256"] == sha256(data / "stoplist.txt")
+        assert bundled["exclusions_sha256"] == sha256(data / "exclusions.txt")
+        assert bundled["thesaurus_sha256"] is None
+
+        stoplist, exclusions = tmp_path / "stop.txt", tmp_path / "excl.txt"
+        stoplist.write_bytes((data / "stoplist.txt").read_bytes() + b"research\r\n")
+        exclusions.write_bytes(b"# user list\r\nbibliometrics\n")
+        user = inputs(demo_config(demo_corpus, tmp_path / "user", stoplist=str(stoplist),
+                                  exclusions=str(exclusions)))
+        assert user["stoplist_sha256"] == sha256(stoplist)
+        assert user["exclusions_sha256"] == sha256(exclusions)
 
     def test_exported_term_count_matches_selection(self, demo_corpus, tmp_path):
         config = demo_config(demo_corpus, tmp_path / "out")
@@ -163,6 +200,26 @@ class TestCli:
             assert main([command, "--corpus", str(demo_corpus), "--out", out]) == 0
         for name in ("network.tsv", "network_terms.tsv", "clusters.tsv", "map.tsv", "map.svg", "graph.json"):
             assert (tmp_path / "out" / name).exists()
+
+    def test_extract_and_build_stop_before_clustering(self, demo_corpus, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("stage ran past the network")
+
+        monkeypatch.setattr(pipeline_module, "cluster", must_not_run)
+        monkeypatch.setattr(pipeline_module, "layout", must_not_run)
+        out = tmp_path / "out"
+        assert main(["extract", "--corpus", str(demo_corpus), "--out", str(out)]) == 0
+        assert main(["build", "--corpus", str(demo_corpus), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["lexicon.tsv", "network.tsv", "network_terms.tsv"]
+
+    def test_cluster_stops_before_layout(self, demo_corpus, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("cluster ran the layout")
+
+        monkeypatch.setattr(pipeline_module, "layout", must_not_run)
+        out = tmp_path / "out"
+        assert main(["cluster", "--corpus", str(demo_corpus), "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["clusters.tsv"]
 
     def test_compare_subcommand(self, planted_corpus, tmp_path, capsys):
         code = main(["compare", "--corpus", str(planted_corpus), "--out", str(tmp_path / "out")])

@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import citemap
 from citemap.errors import ConfigError, ConsistencyError
+from citemap.network import count_cooccurrences, relevance_scores, select_top_terms
 from citemap.terms import (
     CITATION_CONTEXT,
     TITLE_ABSTRACT,
     build_lexicon,
-    default_exclusions,
-    default_stoplist,
     extract_candidates,
     load_thesaurus,
     load_word_list,
@@ -155,12 +156,13 @@ class TestBuildLexicon:
             build_lexicon([unit("u", "x")], min_occurrences=1, thesaurus={"a": "b", "b": "a"})
 
     def test_exclusions_apply_after_threshold(self):
+        # the lexicon keeps an excluded term; the relevance cut drops it
         units = [unit(f"u{k}", "the impact factor") for k in range(4)]
-        lexicon = build_lexicon(units, min_occurrences=4, stoplist={"the"},
-                                exclusions={"impact factor"})
-        assert "impact factor" not in lexicon
-        assert "factor" in lexicon
-        assert lexicon.applied_exclusions == 1
+        lexicon = build_lexicon(units, min_occurrences=4, stoplist={"the"})
+        assert {"impact factor", "factor"} <= set(lexicon.terms)
+        net = count_cooccurrences(units, lexicon)
+        selected = select_top_terms(net, relevance_scores(net), 1.0, {"impact factor"})
+        assert selected.term_strings == ("factor",)
 
     def test_stoplist_terms_never_enter(self):
         units = [unit("u", "the factor grows")]
@@ -274,7 +276,6 @@ class TestWordListFiles:
         assert resolved == {"a": "c", "b": "c"}
 
     def test_defaults_load(self):
-        stoplist = default_stoplist()
-        assert {"the", "of", "and", "et", "al"} <= stoplist
-        exclusions = default_exclusions()
-        assert "practical implications" in exclusions
+        data = Path(citemap.__file__).parent / "data"
+        assert {"the", "of", "and", "et", "al"} <= set(load_word_list(data / "stoplist.txt"))
+        assert "practical implications" in load_word_list(data / "exclusions.txt")
