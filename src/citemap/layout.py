@@ -3,10 +3,13 @@
 Positions minimize V(x) = sum over pairs of s_ij * ||x_i - x_j||^2 subject
 to a mean pairwise Euclidean distance of exactly 1, so strongly related
 terms sit close together while the constraint stops the trivial collapse.
-Optimization is projected gradient descent: a gradient step on V, then
-re-centering and rescaling onto the constraint, with the step halved until
-the projected objective does not increase. Disconnected inputs are laid out
-one component at a time and arranged on a grid before the final projection.
+Optimization is the majorization of VOS mapping (van Eck, Waltman, Dekker &
+van den Berg 2010, JASIST 61(12)): at the iterate y, the step L^+ B(y) y
+minimizes a quadratic-over-linear bound on V over the squared mean distance
+and is projected back onto the constraint; an over-relaxed step is tried
+first, and a step is kept only if it lowers V. Disconnected inputs are laid
+out one component at a time and arranged on a grid before the final
+projection.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .errors import ConfigError, ConsistencyError
 from .network import SimilarityMatrix
 
 _COMPONENT_GAP = 2.0  # spacing between component bounding boxes, pre-projection
+MAX_LAYOUT_TERMS = 5000  # the n x n arrays of a map this size take about 1.2 GB
 
 
 @dataclass(frozen=True)
@@ -45,46 +49,45 @@ def layout_objective(sim: SimilarityMatrix, positions: Sequence[Sequence[float]]
     return value
 
 
-def _mean_pairwise_distance(x: np.ndarray) -> float:
+def _distances(x: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distance matrix of 2D points."""
+    dist = np.subtract.outer(x[:, 0], x[:, 0])
+    return np.hypot(dist, np.subtract.outer(x[:, 1], x[:, 1]), out=dist)
+
+
+def _project(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Center at the origin and rescale to mean pairwise distance 1.
+
+    Returns the projected points and their pairwise distance matrix.
+    """
     n = len(x)
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=-1))
-    return float(dist[np.triu_indices(n, k=1)].mean())
-
-
-def _project(x: np.ndarray) -> np.ndarray:
-    """Center at the origin and rescale to mean pairwise distance 1."""
     x = x - x.mean(axis=0)
-    d = _mean_pairwise_distance(x)
-    if d == 0.0:
+    dist = _distances(x)
+    if not dist.any():
         # all points coincident: spread on a tiny circle, then normalize
-        n = len(x)
         angles = 2.0 * math.pi * np.arange(n) / n
         x = x + 1e-6 * np.column_stack([np.cos(angles), np.sin(angles)])
         x = x - x.mean(axis=0)
-        d = _mean_pairwise_distance(x)
-    return x / d
-
-
-def _constraint_normal(x: np.ndarray) -> np.ndarray:
-    """Gradient of the mean pairwise distance (up to the constant factor)."""
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=-1))
-    np.fill_diagonal(dist, 1.0)  # diagonal diffs are zero anyway
-    dist = np.maximum(dist, 1e-12)
-    return (diff / dist[:, :, None]).sum(axis=1)
+        dist = _distances(x)
+    d = float(dist.sum()) / (n * (n - 1))
+    dist /= d
+    return x / d, dist
 
 
 def _optimize(strengths: dict[tuple[int, int], float], n: int, seed: int, max_iter: int, tol: float,
               trace: list[float] | None) -> tuple[np.ndarray, float, bool, int]:
     rng = np.random.default_rng(seed)
-    x = _project(rng.uniform(-0.5, 0.5, size=(n, 2)))
+    x, dist = _project(rng.uniform(-0.5, 0.5, size=(n, 2)))
     laplacian = np.zeros((n, n))
     for (i, j), s in sorted(strengths.items()):
         laplacian[i, j] -= s
         laplacian[j, i] -= s
         laplacian[i, i] += s
         laplacian[j, j] += s
+    # exact pseudo-inverse for one connected component, whose Laplacian's
+    # null space is the constant vector
+    laplacian_pinv = np.linalg.inv(laplacian + 1.0 / n)
+    laplacian_pinv -= 1.0 / n
 
     def objective(y: np.ndarray) -> float:
         return float(np.einsum("ij,ij->", y, laplacian @ y))
@@ -92,34 +95,23 @@ def _optimize(strengths: dict[tuple[int, int], float], n: int, seed: int, max_it
     value = objective(x)
     if trace is not None:
         trace.append(value)
-    max_degree = float(laplacian.diagonal().max())
-    step = 0.25 / max_degree if max_degree > 0 else 0.25
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        gradient = 2.0 * (laplacian @ x)
-        # keep only the component tangential to the constraint manifold:
-        # the raw gradient can be a pure dilation (exactly what the rescale
-        # undoes), so stepping along it would stall at the start shape
-        normal = _constraint_normal(x)
-        normal_norm = float(np.einsum("ij,ij->", normal, normal))
-        if normal_norm > 0:
-            gradient = gradient - (float(np.einsum("ij,ij->", gradient, normal)) / normal_norm) * normal
-        step *= 2.0  # grow the accepted step; halving brings it back down
-        while True:
-            candidate = _project(x - step * gradient)
+        # B(x) x with b_ij = -1/d_ij off the diagonal and zero row sums
+        weights = np.divide(1.0, dist, out=np.zeros_like(dist), where=dist > 0)
+        target = weights.sum(axis=1)[:, None] * x - weights @ x
+        del weights  # one n x n array fewer alive through the two projections
+        step, step_dist = _project(laplacian_pinv @ target)
+        previous = value
+        # the over-relaxed point first, then the plain step, else stay put
+        for candidate, candidate_dist in (_project(2.0 * step - x), (step, step_dist)):
             candidate_value = objective(candidate)
-            if candidate_value <= value:
-                break
-            step *= 0.5
-            if step < 1e-20:
-                candidate, candidate_value = x, value
-                break
-        drop = value - candidate_value
-        x, value = candidate, candidate_value
+            if candidate_value < value:
+                x, dist, value = candidate, candidate_dist, candidate_value
         if trace is not None:
             trace.append(value)
-        if drop <= tol * max(abs(value), 1e-30):
+        if previous - value <= tol * max(abs(value), 1e-30):
             converged = True
             break
     return x, value, converged, iterations
@@ -157,11 +149,12 @@ def layout(
 ) -> MapLayout:
     """Compute the 2D map for a similarity matrix.
 
-    Stops when the relative objective decrease falls below ``tol`` or after
-    ``max_iter`` iterations. A single term sits at the origin with a vacuous
-    constraint. ``trace``, when given, collects the objective value after
-    every projection step (test hook); for disconnected inputs only the
-    final assembled objective is traced.
+    Stops when the relative objective decrease of an iteration is at most
+    ``tol``, and then reports ``converged``, or after ``max_iter`` iterations.
+    A single term sits at the origin with a vacuous constraint. ``trace``,
+    when given, collects the objective value after every iteration (test
+    hook); for disconnected inputs only the final assembled objective is
+    traced. Raises ConfigError above ``MAX_LAYOUT_TERMS`` terms.
     """
     n = len(sim.terms)
     if n < 1:
@@ -173,6 +166,9 @@ def layout(
             raise ValueError(f"non-finite similarity {s!r} on pair {pair}")
     if n == 1:
         return MapLayout(((0.0, 0.0),), 0.0, True, 0)
+    if n > MAX_LAYOUT_TERMS:
+        raise ConfigError(f"cannot lay out {n} terms, the limit is {MAX_LAYOUT_TERMS}; "
+                          "raise --min-occurrences to keep fewer terms")
 
     components = _components(n, sim.strengths)
     if len(components) == 1:
@@ -203,7 +199,7 @@ def layout(
         offset = np.array([(k % columns) * pitch, -(k // columns) * pitch])
         for row, member in enumerate(members):
             placed[member] = coords[row] + offset
-    placed = _project(placed)
+    placed, _ = _project(placed)
     value = layout_objective(sim, placed)
     if trace is not None:
         trace.append(value)

@@ -173,3 +173,52 @@ class TestLayout:
         result = layout(sim(2, {(0, 1): 1.0}), seed=0)
         assert isinstance(result, MapLayout)
         assert result.iterations_used >= 1
+
+
+def criterion_06_graph():
+    """The 12-node graph of acceptance criterion 06: a spanning path plus random chords."""
+    rng = random.Random(10)
+    strengths = {(i, i + 1): rng.uniform(0.3, 2.0) for i in range(11)}
+    for i, j in itertools.combinations(range(12), 2):
+        if (i, j) not in strengths and rng.random() < 0.35:
+            strengths[(i, j)] = rng.uniform(0.3, 2.0)
+    return sim(12, strengths)
+
+
+class TestConvergence:
+    def test_budget_exhausted_is_not_converged(self):
+        result = layout(criterion_06_graph(), seed=5, max_iter=1)
+        assert not result.converged
+        assert result.iterations_used == 1
+
+    def test_planted_two_blocks_converge_within_budget(self):
+        # two 30-node blocks, each a path plus chords with heavy-tailed
+        # strengths, joined by a few weak edges
+        rng = random.Random(1)
+        strengths = {}
+        for i, j in itertools.combinations(range(60), 2):
+            if i // 30 == j // 30:
+                if j == i + 1 or rng.random() < 0.2:
+                    strengths[(i, j)] = rng.lognormvariate(0.0, 1.5)
+            elif rng.random() < 0.02:
+                strengths[(i, j)] = 0.05 * rng.random()
+        result = layout(sim(60, strengths), seed=42, max_iter=300)
+        assert result.converged
+        assert result.iterations_used < 300
+
+    def test_converged_layout_is_stationary(self):
+        rng = random.Random(21)
+        strengths = {(i, i + 1): rng.uniform(0.2, 2.0) for i in range(14)}  # spanning path
+        for i, j in itertools.combinations(range(15), 2):
+            if (i, j) not in strengths and rng.random() < 0.3:
+                strengths[(i, j)] = rng.uniform(0.2, 2.0)
+        s = sim(15, strengths)
+        result = layout(s, seed=3, tol=1e-12)
+        assert result.converged
+        base = layout_objective(s, result.positions)
+        noise = np.random.default_rng(0)
+        for _ in range(50):
+            moved = np.array(result.positions) + noise.uniform(-1e-3, 1e-3, size=(15, 2))
+            moved -= moved.mean(axis=0)
+            moved /= mean_pairwise([tuple(p) for p in moved])
+            assert layout_objective(s, [tuple(p) for p in moved]) >= base * (1 - 1e-9)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 from pathlib import Path
 
@@ -15,6 +16,11 @@ from citemap.cli import main
 from citemap.errors import ConfigError, StageError
 from citemap.exports import read_map_file, read_network_file
 from citemap.pipeline import OUTPUT_NAMES, PipelineConfig, analyze, compare_networks, run_pipeline
+
+from conftest import sim
+
+# the package exports a function named layout, which hides the module attribute
+layout_module = importlib.import_module("citemap.layout")
 
 
 def demo_config(demo_corpus, out_dir, **overrides) -> PipelineConfig:
@@ -244,6 +250,16 @@ class TestCli:
                      "--relevance-fraction", "1.5", "--out", str(tmp_path / "out")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_oversized_map_is_config_error(self, demo_corpus, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(layout_module, "MAX_LAYOUT_TERMS", 5)
+        with pytest.raises(ConfigError, match="cannot lay out 6 terms.*--min-occurrences"):
+            layout_module.layout(sim(6, {(k, k + 1): 1.0 for k in range(5)}))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--corpus", str(demo_corpus), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'layout' failed" in err and "--min-occurrences" in err
+        assert not (out / "map.tsv").exists()
 
     def test_input_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"
