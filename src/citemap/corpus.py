@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import CitemapWarning, ConfigError, ParseError
+from .errors import CitemapWarning, ParseError
 
 SET_TAGS = ("cited", "citing")
 
@@ -182,15 +182,13 @@ def _context_from_record(record: dict) -> CitationContext:
     )
 
 
-def load_corpus(path: str | Path, fmt: str = "jsonl") -> tuple[DocumentSet, list[CitationContext]]:
+def load_corpus(path: str | Path) -> tuple[DocumentSet, list[CitationContext]]:
     """Read a corpus dump and return ``(documents, contexts)`` in file order.
 
     Duplicate document ids are deduplicated first-wins; duplicates and
     contexts referencing unknown documents each raise one CitemapWarning.
     A malformed line raises ParseError naming the line number.
     """
-    if fmt != "jsonl":
-        raise ConfigError(f"unsupported corpus format {fmt!r} (only 'jsonl')")
     path = Path(path)
     docs = DocumentSet(label=path.stem)
     contexts: list[CitationContext] = []

@@ -95,8 +95,8 @@ def read_map_file(path: str | Path) -> list[MapRecord]:
     return records
 
 
-def export_network(net: CoocNetwork, path: str | Path, terms_path: str | Path | None = None) -> Path:
-    """Write the edge list TSV (no header) and optionally the term sidecar.
+def export_network(net: CoocNetwork, path: str | Path) -> Path:
+    """Write the edge list TSV (no header); ``export_terms`` writes its term sidecar.
 
     Rows are ``i<TAB>j<TAB>c_ij`` with 1-based indices, i < j, sorted; an
     empty edge set produces an empty file.
@@ -104,8 +104,6 @@ def export_network(net: CoocNetwork, path: str | Path, terms_path: str | Path | 
     path = Path(path)
     rows = [f"{i + 1}\t{j + 1}\t{c}" for (i, j), c in sorted(net.edges.items())]
     path.write_text("\n".join(rows) + ("\n" if rows else ""), encoding="utf-8", newline="\n")
-    if terms_path is not None:
-        export_terms(net, terms_path)
     return path
 
 

@@ -38,6 +38,7 @@ ABBREVIATION_GUARDS = (
     "fig.", "figs.", "eq.", "eqs.", "ref.", "refs.", "vol.", "no.", "pp.",
     "ed.", "eds.", "jr.", "sr.", "dr.", "prof.",
 )
+_GUARD_WINDOW = max(map(len, ABBREVIATION_GUARDS))
 
 _AUTHOR_CITATION = re.compile(r"\b[A-Z][\w\-]*\s+et\s+al\b\.?")
 
@@ -48,7 +49,10 @@ def strip_citation_authors(text: str) -> str:
 
 
 def _guarded(text: str, i: int) -> bool:
-    head = text[: i + 1].lower()
+    # Lowercasing maps every character to one or more, and context (final
+    # sigma) only picks between non-ASCII results, so the lowercased prefix
+    # ends with an ASCII guard exactly when the lowercased window does.
+    head = text[max(0, i + 1 - _GUARD_WINDOW): i + 1].lower()
     return any(head.endswith(guard) for guard in ABBREVIATION_GUARDS)
 
 

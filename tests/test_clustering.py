@@ -198,3 +198,42 @@ class TestClusterOptimality:
         scaled = cluster(sim(8, doubled), resolution=1.4, seed=5, restarts=8)
         assert partition_sets(base.assignment) == partition_sets(scaled.assignment)
         assert scaled.quality == pytest.approx(2.0 * base.quality, rel=1e-12)
+
+
+def planted_lognormal(seed: int, n: int = 150, groups: int = 5, p_in: float = 0.3, p_out: float = 0.05):
+    """Sparse planted-group graph whose strengths are log-normal(0, 1.5), rounded to 4 places."""
+    rng = random.Random(seed)
+    group = [rng.randrange(groups) for _ in range(n)]
+    strengths = {}
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < (p_in if group[i] == group[j] else p_out):
+            strengths[(i, j)] = round(rng.lognormvariate(0.0, 1.5), 4)
+    return sim(n, strengths)
+
+
+# On both graphs the optimizer aggregates at least two levels deep and a
+# variable-depth chain pass escapes at least once, so every private helper
+# of the optimizer contributes to the pinned result.
+MID_SIZE_PINS = {
+    2: ("0x1.1043c01a36e2ep+11", """
+        1 2 3 4 5 4 6 7 8 9 10 11 5 12 13 14 15 3 1 2 16 2 17 6 9 18 19 1 9 20 21 2 12 10 3 22
+        20 19 13 9 18 4 7 23 8 24 11 18 25 9 3 4 8 2 1 20 16 13 21 15 13 18 7 6 9 19 15 7 16 6
+        13 19 18 15 26 9 11 16 6 23 13 7 9 23 12 12 4 5 1 23 15 17 10 4 1 11 17 17 3 17 17 12 5
+        17 18 5 5 22 19 3 21 3 14 15 1 19 19 7 15 14 17 2 10 3 16 4 12 15 2 16 17 9 23 15 13 19
+        15 1 4 23 1 16 4 15 3 1 11 9 7 2"""),
+    45: ("0x1.ae5bffffffffep+10", """
+        1 2 3 4 5 3 5 6 7 8 7 5 4 8 9 8 10 11 12 10 13 14 8 8 7 8 15 5 6 16 17 1 11 11 18 5 16 7
+        1 9 19 10 16 20 5 21 2 19 1 13 22 23 6 13 19 23 3 4 12 6 8 12 24 14 8 10 16 2 19 18 7 21
+        8 10 25 13 4 11 4 21 17 12 7 4 8 19 7 25 17 10 11 2 8 6 6 14 18 4 26 10 13 25 8 16 7 2
+        20 5 6 10 20 14 6 20 16 21 27 10 23 16 8 14 4 16 23 21 23 10 6 18 4 28 6 21 22 23 9 2 23
+        2 16 2 18 3 10 12 5 28 6 26"""),
+}
+
+
+class TestMidSizePins:
+    @pytest.mark.parametrize("seed", sorted(MID_SIZE_PINS))
+    def test_assignment_and_quality_are_pinned(self, seed):
+        quality_hex, assignment = MID_SIZE_PINS[seed]
+        clustering = cluster(planted_lognormal(seed), resolution=0.5, seed=seed, restarts=3)
+        assert clustering.quality.hex() == quality_hex
+        assert clustering.assignment == tuple(int(label) for label in assignment.split())

@@ -16,7 +16,7 @@ from citemap.corpus import (
     normalize_doi,
     write_corpus,
 )
-from citemap.errors import CitemapWarning, ConfigError, ParseError
+from citemap.errors import CitemapWarning, ParseError
 
 from conftest import ctx, doc
 
@@ -137,10 +137,6 @@ class TestLoadCorpus:
         write_lines(path, [{"kind": "mystery"}])
         with pytest.raises(ParseError, match=r":1:"):
             load_corpus(path)
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_corpus(tmp_path / "x.csv", fmt="csv")
 
     def test_deterministic(self, tmp_path):
         path = tmp_path / "same.jsonl"

@@ -16,6 +16,7 @@ from citemap.exports import (
     export_graph_json,
     export_map,
     export_network,
+    export_terms,
     map_records,
     read_map_file,
     read_network_file,
@@ -101,7 +102,8 @@ class TestExportMap:
 class TestExportNetwork:
     def test_triangle_rows(self, tmp_path):
         net = network({"a": 1, "b": 1, "c": 1}, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
-        path = export_network(net, tmp_path / "net.tsv", tmp_path / "terms.tsv")
+        path = export_network(net, tmp_path / "net.tsv")
+        export_terms(net, tmp_path / "terms.tsv")
         assert path.read_text(encoding="utf-8") == "1\t2\t1\n1\t3\t1\n2\t3\t1\n"
         terms = (tmp_path / "terms.tsv").read_text(encoding="utf-8")
         assert terms == "1\ta\t1\n2\tb\t1\n3\tc\t1\n"
@@ -113,7 +115,8 @@ class TestExportNetwork:
 
     def test_round_trip(self, tmp_path):
         net = network({"a": 3, "b": 5, "c": 2}, {(0, 1): 4, (1, 2): 1})
-        export_network(net, tmp_path / "net.tsv", tmp_path / "terms.tsv")
+        export_network(net, tmp_path / "net.tsv")
+        export_terms(net, tmp_path / "terms.tsv")
         back = read_network_file(tmp_path / "net.tsv", tmp_path / "terms.tsv")
         assert back.terms == net.terms
         assert back.edges == net.edges

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import citemap
 from citemap.errors import ConfigError, ConsistencyError
 from citemap.network import count_cooccurrences, relevance_scores, select_top_terms
 from citemap.terms import (
+    ABBREVIATION_GUARDS,
     CITATION_CONTEXT,
     TITLE_ABSTRACT,
     build_lexicon,
@@ -21,6 +23,7 @@ from citemap.terms import (
     load_word_list,
     make_units,
     resolve_thesaurus,
+    _guarded,
     segment,
     strip_citation_authors,
 )
@@ -56,6 +59,23 @@ class TestSegment:
 
     def test_no_split_without_whitespace(self):
         assert segment("cost 3.5 units") == [["cost", "3", "5", "units"]]
+
+    def test_windowed_guard_matches_whole_prefix_lowercasing(self):
+        def reference(text: str, i: int) -> bool:  # lowercases the whole prefix
+            head = text[: i + 1].lower()
+            return any(head.endswith(guard) for guard in ABBREVIATION_GUARDS)
+
+        # "İ" lowercases to two characters, "Σ" by context, the Kelvin sign to "k"
+        pieces = [*ABBREVIATION_GUARDS, *(g.upper() for g in ABBREVIATION_GUARDS),
+                  "İ", "Σ", "\u212a", "I", "E", "e", "g", "al", "no", ".", " ", "x"]
+        rng = random.Random(11)
+        guarded = 0
+        for _ in range(500):
+            text = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 12)))
+            expected = [reference(text, i) for i in range(len(text))]
+            assert [_guarded(text, i) for i in range(len(text))] == expected, text
+            guarded += sum(expected)
+        assert guarded > 500
 
 
 class TestStripCitationAuthors:
