@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import signal
+import time
 
 import pytest
 
+import citemap.clustering as clustering_module
+from citemap.cli import main
 from citemap.clustering import Clustering, cluster, quality
-from citemap.errors import ConfigError, ConsistencyError
+from citemap.errors import ConfigError, ConsistencyError, StageError
+from citemap.pipeline import PipelineConfig, run_pipeline
 
 from conftest import sim
 
@@ -237,3 +243,114 @@ class TestMidSizePins:
         clustering = cluster(planted_lognormal(seed), resolution=0.5, seed=seed, restarts=3)
         assert clustering.quality.hex() == quality_hex
         assert clustering.assignment == tuple(int(label) for label in assignment.split())
+
+
+def set_cpus(monkeypatch, cpus: int) -> None:
+    """Pretend the affinity mask holds ``cpus`` CPUs, and let any network fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(clustering_module, "_PARALLEL_MIN_EDGES", 0)
+
+
+def assert_no_children_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, when a forked call never returns."""
+    def expire(signum, frame):
+        raise TimeoutError("clustering did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestParallelRestarts:
+    @pytest.mark.parametrize("seed, n, restarts, cpus", [
+        (2, 150, 3, 4),  # MID_SIZE_PINS: restarts < CPUs, one restart per worker
+        (45, 150, 3, 4),
+        (7, 200, 10, 4),  # uneven shares: the workers run 3, 3, 2 and 2 restarts
+        (7, 200, 5, 2),
+        (7, 200, 1, 4),  # a single restart never forks
+    ])
+    def test_forked_equals_inline(self, monkeypatch, seed, n, restarts, cpus):
+        graph = planted_lognormal(seed, n)
+        set_cpus(monkeypatch, 1)
+        inline = cluster(graph, resolution=0.5, seed=seed, restarts=restarts)
+        forks = []
+        real_forked = clustering_module._forked
+        monkeypatch.setattr(clustering_module, "_forked", lambda *args: forks.append(args) or real_forked(*args))
+        set_cpus(monkeypatch, cpus)
+        forked = cluster(graph, resolution=0.5, seed=seed, restarts=restarts)
+        assert len(forks) == (restarts > 1)
+        assert forked.assignment == inline.assignment
+        assert forked.quality.hex() == inline.quality.hex()
+        if seed in MID_SIZE_PINS:
+            assert forked.quality.hex() == MID_SIZE_PINS[seed][0]
+        assert_no_children_left()
+
+    def test_ties_go_to_the_earliest_restart(self, monkeypatch):
+        # a unit-weight ring of 12 has two optimal pairings, and restarts find both
+        ring = sim(12, {(i, i + 1): 1.0 for i in range(11)} | {(0, 11): 1.0})
+        winners = {}
+        for cpus in (1, 4):
+            set_cpus(monkeypatch, cpus)
+            winners[cpus] = [cluster(ring, resolution=0.5, seed=seed, restarts=10).assignment for seed in range(20)]
+        assert len(set(winners[1])) == 2
+        assert winners[4] == winners[1]
+
+    def test_small_networks_stay_inline(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        monkeypatch.setattr(clustering_module, "_forked", lambda *args: pytest.fail("forked a small network"))
+        largest = sim(8, {pair: 1.0 for pair in itertools.combinations(range(8), 2)})
+        assert cluster(largest, resolution=0.5, seed=1, restarts=10).n_clusters == 1
+
+
+FAILURES = [("child", "raise"), ("child", "exit"), ("parent", "raise")]
+
+
+@pytest.mark.usefixtures("deadline")
+class TestFailingWorker:
+    """A worker that raises or dies ends the call promptly, and every child is reaped."""
+
+    @pytest.fixture
+    def fail_in(self, monkeypatch):
+        def arm(where: str, how: str) -> type[Exception]:
+            parent, real_slm = os.getpid(), clustering_module._slm
+
+            def slm(*args):
+                if (os.getpid() == parent) == (where == "parent"):
+                    if how == "exit":
+                        os._exit(1)
+                    raise ValueError("injected clustering failure")
+                return real_slm(*args)
+
+            monkeypatch.setattr(clustering_module, "_slm", slm)
+            set_cpus(monkeypatch, 4)
+            return ValueError if where == "parent" else ChildProcessError
+        return arm
+
+    @pytest.mark.parametrize("where, how", FAILURES)
+    def test_cluster_raises(self, fail_in, where, how):
+        expected = fail_in(where, how)
+        start = time.monotonic()
+        with pytest.raises(expected):
+            cluster(planted_lognormal(2), resolution=0.5, seed=2, restarts=10)
+        assert time.monotonic() - start < 10.0
+        assert_no_children_left()
+
+    @pytest.mark.parametrize("where, how", FAILURES)
+    def test_pipeline_stage_error_and_cli_exit_code(self, fail_in, where, how, demo_corpus, tmp_path, capsys):
+        fail_in(where, how)
+        with pytest.raises(StageError) as caught:
+            run_pipeline(PipelineConfig(corpus=str(demo_corpus), out_dir=str(tmp_path / "run")))
+        assert caught.value.stage == "cluster"
+        assert_no_children_left()
+        assert main(["pipeline", "--corpus", str(demo_corpus), "--out", str(tmp_path / "cli")]) == 3
+        assert "stage 'cluster' failed" in capsys.readouterr().err
+        assert_no_children_left()
