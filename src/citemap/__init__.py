@@ -8,6 +8,8 @@ compares the three.
 
 __version__ = "0.1.0"
 
+from importlib import import_module as _import_module
+
 from .clustering import Clustering, cluster, quality
 from .compare import (
     ComparisonReport,
@@ -68,14 +70,6 @@ from .pipeline import (
     compare_networks,
     run_pipeline,
 )
-from .providers import (
-    FileProvider,
-    GraphProvider,
-    HttpProvider,
-    ProviderSpec,
-    fetch_citing_with_contexts,
-    fetch_publications,
-)
 from .terms import (
     CITATION_CONTEXT,
     TITLE_ABSTRACT,
@@ -91,4 +85,23 @@ from .terms import (
     strip_citation_authors,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# providers imports requests, which only fetching from a catalog needs, so its
+# names are resolved on first use
+_PROVIDER_NAMES = (
+    "FileProvider",
+    "GraphProvider",
+    "HttpProvider",
+    "ProviderSpec",
+    "fetch_citing_with_contexts",
+    "fetch_publications",
+)
+
+
+def __getattr__(name: str):
+    if name == "providers" or name in _PROVIDER_NAMES:
+        providers = _import_module(".providers", __name__)
+        return providers if name == "providers" else getattr(providers, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | {"providers", *_PROVIDER_NAMES})

@@ -46,7 +46,7 @@ from .pipeline import (
     write_json,
     write_outputs,
 )
-from .providers import HttpProvider, ProviderSpec, fetch_citing_with_contexts, fetch_publications
+
 
 def _settings_parser() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
@@ -96,6 +96,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if args.provider_config:
         if not args.query:
             raise ConfigError("--query is required when fetching from a provider")
+        # imported here so that no other subcommand loads the HTTP stack
+        from .providers import HttpProvider, ProviderSpec, fetch_citing_with_contexts, fetch_publications
+
         provider = HttpProvider(ProviderSpec.from_file(args.provider_config))
         cited = fetch_publications(provider, args.query, args.page_size)
         citing, contexts = fetch_citing_with_contexts(provider, list(cited.ids()), args.page_size)

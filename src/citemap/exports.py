@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .clustering import Clustering
 from .errors import ConsistencyError, ParseError
@@ -31,6 +30,11 @@ PALETTE = (
     "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#aec7e8", "#ffbb78",
     "#98df8a", "#ff9896", "#c5b0d5", "#c49c94", "#f7b6d2", "#dbdb8d",
 )
+
+
+def _xml_escape(text: str) -> str:
+    # what xml.sax.saxutils.escape does, without importing urllib and http.client through it
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 @dataclass(frozen=True)
@@ -228,7 +232,7 @@ def render_svg(layout: MapLayout, net: CoocNetwork, clustering: Clustering, path
         cx, cy = to_canvas(*layout.positions[i])
         radius = _node_radius(net.terms[i].occurrences, node_scale)
         color = PALETTE[clustering.assignment[i] % len(PALETTE)]
-        label = escape(net.terms[i].term)
+        label = _xml_escape(net.terms[i].term)
         parts.append(f'  <circle cx="{cx:.2f}" cy="{cy:.2f}" r="{radius:.2f}" fill="{color}" fill-opacity="0.85"/>')
         parts.append(
             f'  <text x="{cx:.2f}" y="{cy + radius + 11.0:.2f}" text-anchor="middle" '

@@ -8,6 +8,14 @@ suffix sub-run, so "journal impact factor" also yields "impact factor" and
 the number of distinct units containing it, however often it repeats inside
 one unit.
 
+Sentences and tokens are defined in ``str`` terms. A sentence ends after a
+character of ``SENTENCE_BREAKERS`` (".?!;") that is followed by a character
+for which ``str.isspace`` is true, unless the break is a "." that ends one of
+``ABBREVIATION_GUARDS`` (compared lowercased). A token is a maximal run of
+characters that are ``str.isalnum`` or "-"; its leading and trailing hyphens
+are stripped, it is lowercased with ``str.lower``, and it is dropped if
+nothing is left.
+
 Normalization is deliberately conservative: lowercase everything, strip one
 trailing "s" only when the singular form already occurs somewhere in the
 corpus (so "citation analysis" survives), and fold variants through an
@@ -52,34 +60,28 @@ def _guarded(text: str, i: int) -> bool:
     # Lowercasing maps every character to one or more, and context (final
     # sigma) only picks between non-ASCII results, so the lowercased prefix
     # ends with an ASCII guard exactly when the lowercased window does.
-    head = text[max(0, i + 1 - _GUARD_WINDOW): i + 1].lower()
-    return any(head.endswith(guard) for guard in ABBREVIATION_GUARDS)
+    return text[max(0, i + 1 - _GUARD_WINDOW): i + 1].lower().endswith(ABBREVIATION_GUARDS)
+
+
+# In ``re``, ``[^\W_]`` is exactly ``str.isalnum`` and ``\s`` exactly ``str.isspace``.
+_TOKEN = re.compile(r"(?:[^\W_]|-)+")
+_BREAK = re.compile(f"[{re.escape(SENTENCE_BREAKERS)}](?=\\s)")
 
 
 def _split_sentences(text: str) -> list[str]:
     pieces, start = [], 0
-    for i, ch in enumerate(text):
-        if ch in SENTENCE_BREAKERS and i + 1 < len(text) and text[i + 1].isspace() and not _guarded(text, i):
-            pieces.append(text[start:i + 1])
-            start = i + 1
+    for match in _BREAK.finditer(text):
+        end = match.end()
+        if text[end - 1] != "." or not _guarded(text, end - 1):
+            pieces.append(text[start:end])
+            start = end
     pieces.append(text[start:])
-    return [p for p in pieces if p.strip()]
+    return pieces
 
 
 def _tokenize(piece: str) -> list[str]:
-    tokens: list[str] = []
-    current: list[str] = []
-    for ch in piece:
-        if ch.isalnum() or ch == "-":
-            current.append(ch)
-        elif current:
-            tokens.append("".join(current))
-            current = []
-    if current:
-        tokens.append("".join(current))
     # hyphens survive only inside a token
-    cleaned = (t.strip("-").lower() for t in tokens)
-    return [t for t in cleaned if t]
+    return [token for raw in _TOKEN.findall(piece) if (token := raw.strip("-").lower())]
 
 
 def segment(text: str) -> list[list[str]]:
@@ -120,6 +122,41 @@ class TermCandidate:
     token_count: int
 
 
+def _fate(token: str, stopset: frozenset[str] | set[str], vocabulary: frozenset[str] | set[str] | None) -> str | None:
+    """None for a run-breaker (stopword or numeric token), else the token's normalized form."""
+    if token in stopset or _is_numeric(token):
+        return None
+    return _singularize(token, vocabulary)
+
+
+def _content_runs(sentence: Sequence[str], fate: Mapping[str, str | None]) -> list[list[str]]:
+    """The sentence's maximal runs of normalized content tokens."""
+    runs: list[list[str]] = []
+    current: list[str] = []
+    for token in sentence:
+        form = fate[token]
+        if form is None:
+            if current:
+                runs.append(current)
+                current = []
+        else:
+            current.append(form)
+    if current:
+        runs.append(current)
+    return runs
+
+
+def _suffixes(run: list[str]) -> list[str]:
+    """Every suffix sub-run of a content run, longest first, as one string each."""
+    joined = " ".join(run)
+    suffixes = [joined]
+    offset = 0
+    for form in run[:-1]:
+        offset += len(form) + 1
+        suffixes.append(joined[offset:])
+    return suffixes
+
+
 def extract_candidates(
     sentence: Sequence[str],
     stoplist: Iterable[str],
@@ -132,24 +169,12 @@ def extract_candidates(
     than 3 characters whose singular form is already in the vocabulary.
     """
     stopset = stoplist if isinstance(stoplist, (set, frozenset)) else frozenset(stoplist)
-    runs: list[list[str]] = []
-    current: list[str] = []
-    for token in sentence:
-        if token in stopset or _is_numeric(token):
-            if current:
-                runs.append(current)
-                current = []
-        else:
-            current.append(token)
-    if current:
-        runs.append(current)
-    candidates = []
-    for run in runs:
-        for start in range(len(run)):
-            tokens = run[start:]
-            normalized = " ".join(_singularize(t, singular_vocabulary) for t in tokens)
-            candidates.append(TermCandidate(normalized, len(tokens)))
-    return candidates
+    fate = {token: _fate(token, stopset, singular_vocabulary) for token in sentence}
+    return [
+        TermCandidate(term, len(run) - start)
+        for run in _content_runs(sentence, fate)
+        for start, term in enumerate(_suffixes(run))
+    ]
 
 
 @dataclass(frozen=True)
@@ -275,21 +300,23 @@ def build_lexicon(
         for sentence in sentences:
             vocabulary.update(sentence)
 
+    # each distinct token's fate is worked out once, not once per suffix
+    fate = {token: _fate(token, stopset, vocabulary) for token in vocabulary}
     counts: dict[str, dict[str, int]] = {}
     merged_variants: set[str] = set()
     for unit_id, sentences in segmented:
-        per_unit: Counter[str] = Counter()
+        candidates: list[str] = []
         for sentence in sentences:
-            for cand in extract_candidates(sentence, stopset, vocabulary):
-                term = cand.normalized
-                if term in canon:
-                    merged_variants.add(term)
-                    term = canon[term]
-                if term in stopset:
-                    continue
-                per_unit[term] += 1
-        for term, times in per_unit.items():
-            counts.setdefault(term, {})[unit_id] = times
+            for run in _content_runs(sentence, fate):
+                candidates += _suffixes(run)
+        for term, times in Counter(candidates).items():
+            if term in canon:
+                merged_variants.add(term)
+                term = canon[term]
+            if term in stopset:
+                continue
+            per_term = counts.setdefault(term, {})
+            per_term[unit_id] = per_term.get(unit_id, 0) + times
 
     kept = {term: uc for term, uc in counts.items() if len(uc) >= min_occurrences}
 

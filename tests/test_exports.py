@@ -196,6 +196,16 @@ class TestRenderSvg:
         text = render_svg(lay, net, clustering, tmp_path / "m.svg").read_text()
         assert "impact &amp; &lt;factor&gt;" in text
 
+    def test_labels_escaped_as_saxutils(self, tmp_path):
+        from xml.sax.saxutils import escape
+
+        labels = ["a &amp; b", "&lt;&gt;", ">>&<<", "x\"y'z"]
+        net = network({label: 1 for label in labels}, {})
+        lay = MapLayout(tuple((float(k), 0.0) for k in range(len(labels))), 0.0, True, 0)
+        clustering = Clustering((1,) * len(labels), 1.0, 42, 0.0)
+        text = render_svg(lay, net, clustering, tmp_path / "m.svg").read_text()
+        assert re.findall(r'font-size="11">(.*)</text>', text) == [escape(label) for label in labels]
+
 
 class TestMapRecords:
     def test_one_record_per_term(self):

@@ -5,6 +5,9 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -293,3 +296,23 @@ class TestCli:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"corpus": "x.jsonl", "volume": 11}))
         assert main(["pipeline", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+
+
+class TestImportHygiene:
+    def test_cli_import_loads_no_http_stack(self):
+        # a fresh interpreter: this test process has imported providers already
+        probe = ("import json, sys, citemap.cli; "
+                 "print(json.dumps([m for m in ('requests', 'urllib.request', 'http.client', 'xml.sax') "
+                 "if m in sys.modules]))")
+        src = str(Path(citemap.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                                timeout=60, check=True)
+        assert json.loads(result.stdout) == []
+
+    def test_provider_names_stay_exported(self):
+        assert citemap.HttpProvider is citemap.providers.HttpProvider
+        assert citemap.fetch_publications is providers.fetch_publications
+        assert {"HttpProvider", "ProviderSpec", "providers"} <= set(citemap.__all__)
+        with pytest.raises(AttributeError):
+            citemap.no_such_name

@@ -16,7 +16,9 @@ from citemap.network import count_cooccurrences, relevance_scores, select_top_te
 from citemap.terms import (
     ABBREVIATION_GUARDS,
     CITATION_CONTEXT,
+    SENTENCE_BREAKERS,
     TITLE_ABSTRACT,
+    TermCandidate,
     build_lexicon,
     extract_candidates,
     load_thesaurus,
@@ -76,6 +78,103 @@ class TestSegment:
             assert [_guarded(text, i) for i in range(len(text))] == expected, text
             guarded += sum(expected)
         assert guarded > 500
+
+
+# Character loops in plain str terms, kept as the reference for the regex kernel.
+def _oracle_split_sentences(text: str) -> list[str]:
+    pieces, start = [], 0
+    for i, ch in enumerate(text):
+        if ch in SENTENCE_BREAKERS and i + 1 < len(text) and text[i + 1].isspace() and not _guarded(text, i):
+            pieces.append(text[start:i + 1])
+            start = i + 1
+    pieces.append(text[start:])
+    return [p for p in pieces if p.strip()]
+
+
+def _oracle_tokenize(piece: str) -> list[str]:
+    tokens: list[str] = []
+    current: list[str] = []
+    for ch in piece:
+        if ch.isalnum() or ch == "-":
+            current.append(ch)
+        elif current:
+            tokens.append("".join(current))
+            current = []
+    if current:
+        tokens.append("".join(current))
+    cleaned = (t.strip("-").lower() for t in tokens)
+    return [t for t in cleaned if t]
+
+
+def _oracle_segment(text: str) -> list[list[str]]:
+    return [tokens for piece in _oracle_split_sentences(text) if (tokens := _oracle_tokenize(piece))]
+
+
+def _oracle_extract_candidates(sentence, stopset, vocabulary) -> list[TermCandidate]:
+    # every token of every suffix is tested and singularized on its own
+    def singular(token: str) -> str:
+        if vocabulary is not None and len(token) > 3 and token.endswith("s") and token[:-1] in vocabulary:
+            return token[:-1]
+        return token
+
+    runs: list[list[str]] = []
+    current: list[str] = []
+    for token in sentence:
+        if token in stopset or not any(ch.isalpha() for ch in token):
+            if current:
+                runs.append(current)
+                current = []
+        else:
+            current.append(token)
+    if current:
+        runs.append(current)
+    return [
+        TermCandidate(" ".join(singular(t) for t in run[start:]), len(run) - start)
+        for run in runs
+        for start in range(len(run))
+    ]
+
+
+# "_" is not alphanumeric; non-ASCII digits and numerals are; "\x1c"-"\x1f" and
+# U+2028 are whitespace; "İ" lowercases to two characters and the Kelvin sign to "k"
+KERNEL_PIECES = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from([
+        *ABBREVIATION_GUARDS, *(g.upper() for g in ABBREVIATION_GUARDS),
+        "_", "-", "--", "\u0663", "\u00b2", "\u216b", "\u00bd", "\x1c", "\x1d", "\x1e", "\x1f", "\u2028",
+        "\u0130", "\u212a", "\u03a3", ".", "?", "!", ";", " ", "\n", "no", "ed", "ab", "Moed et al. ",
+    ]),
+)
+CANDIDATE_TOKENS = st.one_of(
+    st.text(max_size=5),
+    st.sampled_from(["factor", "factors", "gas", "ga", "analysis", "citation", "citations", "the", "of",
+                     "1,500", "2010", "h-index", "", "a b", "\u216b", "\u017fs"]),
+)
+
+
+class TestKernelMatchesCharacterLoops:
+    @given(st.lists(KERNEL_PIECES, max_size=20).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_segment(self, text):
+        assert segment(text) == _oracle_segment(text)
+
+    @given(st.lists(CANDIDATE_TOKENS, max_size=12), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_extract_candidates(self, sentence, data):
+        # stopwords and singular forms drawn from the sentence itself, so that both rules fire
+        stop = data.draw(st.sets(st.sampled_from(["the", *sentence]), max_size=3))
+        singulars = st.sampled_from(["factor", *sentence, *(t[:-1] for t in sentence if t.endswith("s"))])
+        vocabulary = data.draw(st.none() | st.sets(singulars, min_size=1))
+        assert extract_candidates(sentence, stop, vocabulary) == _oracle_extract_candidates(sentence, stop, vocabulary)
+
+    def test_segment_on_bundled_corpora(self, demo_corpus, planted_corpus):
+        from citemap.corpus import load_corpus
+
+        texts = []
+        for path in (demo_corpus, planted_corpus):
+            docs, contexts = load_corpus(path)
+            texts += [f"{d.title} {d.abstract}" for d in docs] + [c.text for c in contexts]
+        assert [segment(t) for t in texts] == [_oracle_segment(t) for t in texts]
 
 
 class TestStripCitationAuthors:
