@@ -11,7 +11,8 @@ one unit.
 Sentences and tokens are defined in ``str`` terms. A sentence ends after a
 character of ``SENTENCE_BREAKERS`` (".?!;") that is followed by a character
 for which ``str.isspace`` is true, unless the break is a "." that ends one of
-``ABBREVIATION_GUARDS`` (compared lowercased). A token is a maximal run of
+``ABBREVIATION_GUARDS`` (compared lowercased) and the guard begins a token: the
+character before it is neither ``str.isalnum`` nor "-". A token is a maximal run of
 characters that are ``str.isalnum`` or "-"; its leading and trailing hyphens
 are stripped, it is lowercased with ``str.lower``, and it is dropped if
 nothing is left.
@@ -40,7 +41,8 @@ CITATION_CONTEXT = "citation_context"
 
 SENTENCE_BREAKERS = ".?!;"
 
-# Suffixes that keep a "." from ending a sentence.
+# Abbreviations that keep a "." from ending a sentence where they begin a token
+# ("tested." does not end in the guard "ed.").
 ABBREVIATION_GUARDS = (
     "et al.", "e.g.", "i.e.", "etc.", "cf.", "vs.", "viz.", "ca.", "resp.",
     "fig.", "figs.", "eq.", "eqs.", "ref.", "refs.", "vol.", "no.", "pp.",
@@ -56,11 +58,19 @@ def strip_citation_authors(text: str) -> str:
     return _AUTHOR_CITATION.sub(" ", text)
 
 
+def _begins_token(text: str, start: int) -> bool:
+    return start == 0 or not (text[start - 1].isalnum() or text[start - 1] == "-")
+
+
 def _guarded(text: str, i: int) -> bool:
     # Lowercasing maps every character to one or more, and context (final
     # sigma) only picks between non-ASCII results, so the lowercased prefix
-    # ends with an ASCII guard exactly when the lowercased window does.
-    return text[max(0, i + 1 - _GUARD_WINDOW): i + 1].lower().endswith(ABBREVIATION_GUARDS)
+    # ends with an ASCII guard exactly when the lowercased window does, and
+    # then each of the guard's characters comes from one character of text.
+    head = text[max(0, i + 1 - _GUARD_WINDOW): i + 1].lower()
+    return head.endswith(ABBREVIATION_GUARDS) and any(
+        head.endswith(guard) and _begins_token(text, i + 1 - len(guard)) for guard in ABBREVIATION_GUARDS
+    )
 
 
 # In ``re``, ``[^\W_]`` is exactly ``str.isalnum`` and ``\s`` exactly ``str.isspace``.

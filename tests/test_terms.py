@@ -62,10 +62,27 @@ class TestSegment:
     def test_no_split_without_whitespace(self):
         assert segment("cost 3.5 units") == [["cost", "3", "5", "units"]]
 
+    @pytest.mark.parametrize("text", [
+        "Methods were tested. Citation analysis shows bias.",
+        "She played the piano. Citation analysis shows bias.",
+        "The co-ed. Citation analysis shows bias.",
+    ])
+    def test_guard_must_begin_a_token(self, text):
+        assert len(segment(text)) == 2
+
+    @pytest.mark.parametrize("text", ["No. 5 is cited.", "see (Fig. 2) here", "so-called [e.g. counts]"])
+    def test_guard_after_punctuation_or_at_start(self, text):
+        assert len(segment(text)) == 1
+
     def test_windowed_guard_matches_whole_prefix_lowercasing(self):
         def reference(text: str, i: int) -> bool:  # lowercases the whole prefix
             head = text[: i + 1].lower()
-            return any(head.endswith(guard) for guard in ABBREVIATION_GUARDS)
+            # an ASCII guard's characters each come from one character of text
+            return any(
+                head.endswith(guard)
+                and (i + 1 == len(guard) or not (text[i - len(guard)].isalnum() or text[i - len(guard)] == "-"))
+                for guard in ABBREVIATION_GUARDS
+            )
 
         # "İ" lowercases to two characters, "Σ" by context, the Kelvin sign to "k"
         pieces = [*ABBREVIATION_GUARDS, *(g.upper() for g in ABBREVIATION_GUARDS),
