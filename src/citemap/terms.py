@@ -68,6 +68,7 @@ def _guarded(text: str, i: int) -> bool:
     # ends with an ASCII guard exactly when the lowercased window does, and
     # then each of the guard's characters comes from one character of text.
     head = text[max(0, i + 1 - _GUARD_WINDOW): i + 1].lower()
+    # one endswith call over the tuple rejects most breaks
     return head.endswith(ABBREVIATION_GUARDS) and any(
         head.endswith(guard) and _begins_token(text, i + 1 - len(guard)) for guard in ABBREVIATION_GUARDS
     )
