@@ -10,12 +10,12 @@ one unit.
 
 Sentences and tokens are defined in ``str`` terms. A sentence ends after a
 character of ``SENTENCE_BREAKERS`` (".?!;") that is followed by a character
-for which ``str.isspace`` is true, unless the break is a "." that ends one of
-``ABBREVIATION_GUARDS`` (compared lowercased) and the guard begins a token: the
-character before it is neither ``str.isalnum`` nor "-". A token is a maximal run of
-characters that are ``str.isalnum`` or "-"; its leading and trailing hyphens
-are stripped, it is lowercased with ``str.lower``, and it is dropped if
-nothing is left.
+for which ``str.isspace`` is true, unless the break is a "." that ends one
+of ``ABBREVIATION_GUARDS`` (compared lowercased) and the guard begins a
+token: the character before it is neither ``str.isalnum`` nor "-". A token
+is a maximal run of characters that are ``str.isalnum`` or "-"; its leading
+and trailing hyphens are stripped, it is lowercased with ``str.lower``, and
+it is dropped if nothing is left.
 
 Normalization is deliberately conservative: lowercase everything, strip one
 trailing "s" only when the singular form already occurs somewhere in the
@@ -110,21 +110,6 @@ def segment(text: str) -> list[list[str]]:
     return sentences
 
 
-def _is_numeric(token: str) -> bool:
-    return not any(ch.isalpha() for ch in token)
-
-
-def _singularize(token: str, vocabulary: frozenset[str] | set[str] | None) -> str:
-    if (
-        vocabulary is not None
-        and len(token) > 3
-        and token.endswith("s")
-        and token[:-1] in vocabulary
-    ):
-        return token[:-1]
-    return token
-
-
 @dataclass(frozen=True)
 class TermCandidate:
     """One candidate term: a suffix sub-run of a content-token run."""
@@ -134,10 +119,12 @@ class TermCandidate:
 
 
 def _fate(token: str, stopset: frozenset[str] | set[str], vocabulary: frozenset[str] | set[str] | None) -> str | None:
-    """None for a run-breaker (stopword or numeric token), else the token's normalized form."""
-    if token in stopset or _is_numeric(token):
+    """None for a run-breaker (a stopword, or a token with no letter), else the normalized token."""
+    if token in stopset or not any(ch.isalpha() for ch in token):
         return None
-    return _singularize(token, vocabulary)
+    if vocabulary is not None and len(token) > 3 and token.endswith("s") and token[:-1] in vocabulary:
+        return token[:-1]
+    return token
 
 
 def _content_runs(sentence: Sequence[str], fate: Mapping[str, str | None]) -> list[list[str]]:
