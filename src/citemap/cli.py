@@ -13,9 +13,9 @@ Each subcommand runs the pipeline only as far as the files it writes need:
     pipeline    network stage, cluster, layout                export's files, corpus_stats.json, manifest.json
 
 The network stage is ingest, units, lexicon, co-occurrence, relevance cut and
-association strength. If writing fails, build, layout, export and pipeline
-remove every file in their row. Settings come from flags, which override a
-JSON config file, which overrides the built-in defaults.
+association strength. Every subcommand writes its row all or nothing, so a
+failed write keeps the earlier run's files. Settings come from flags, which
+override a JSON config file, which overrides the built-in defaults.
 
 Exit codes: 0 success, 2 configuration error, 3 input/parse error,
 4 provider/transport error.
@@ -36,6 +36,7 @@ from .errors import (
     ProviderError,
     StageError,
 )
+from .exports import write_json, write_lines
 from .pipeline import (
     PipelineConfig,
     analyze,
@@ -43,7 +44,7 @@ from .pipeline import (
     cluster_network,
     compare_networks,
     run_pipeline,
-    write_json,
+    write_files,
     write_outputs,
 )
 
@@ -84,15 +85,9 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-def _out_dir(config: PipelineConfig) -> Path:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    out = _out_dir(config)
+    writers = {}
     if args.provider_config:
         if not args.query:
             raise ConfigError("--query is required when fetching from a provider")
@@ -105,28 +100,27 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         docs = cited
         for doc in citing:
             docs.add(doc)
-        corpus_path = out / "corpus.jsonl"
-        write_corpus(corpus_path, docs, contexts)
-        config.corpus = str(corpus_path)
-        print(f"wrote {corpus_path} ({len(docs)} documents, {len(contexts)} contexts)")
-    if not config.corpus:
+        writers["corpus.jsonl"] = lambda path: write_corpus(path, docs, contexts)
+    elif config.corpus:
+        docs, contexts = load_corpus(config.corpus)
+    else:
         raise ConfigError("either --corpus or --provider-config is required")
-    docs, contexts = load_corpus(config.corpus)
     stats = dataset_stats(docs.filter_tag("cited"), docs.filter_tag("citing"), contexts)
-    write_json(out / "corpus_stats.json", stats.to_dict())
+    writers["corpus_stats.json"] = lambda path: write_json(path, stats.to_dict())
+    paths = write_files(config.out_dir, writers)
+    if "corpus.jsonl" in paths:
+        print(f"wrote {paths['corpus.jsonl']} ({len(docs)} documents, {len(contexts)} contexts)")
     print(f"{stats.n_cited} cited, {stats.n_citing} citing, {stats.n_contexts} contexts, "
-          f"overlap {stats.n_overlap} -> {out / 'corpus_stats.json'}")
+          f"overlap {stats.n_overlap} -> {paths['corpus_stats.json']}")
     return 0
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     result = build_network(config)
-    out = _out_dir(config)
-    lexicon_path = out / "lexicon.tsv"
     rows = [f"{entry.term}\t{entry.occurrence_count}" for entry in result.lexicon]
-    lexicon_path.write_text("\n".join(rows) + ("\n" if rows else ""), encoding="utf-8", newline="\n")
-    print(f"{len(result.lexicon)} terms with {config.min_occurrences}+ occurrences -> {lexicon_path}")
+    path = write_files(config.out_dir, {"lexicon.tsv": lambda p: write_lines(p, rows)})["lexicon.tsv"]
+    print(f"{len(result.lexicon)} terms with {config.min_occurrences}+ occurrences -> {path}")
     return 0
 
 
@@ -144,10 +138,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     result = build_network(config)
     clustering = cluster_network(result)
-    out = _out_dir(config)
-    path = out / "clusters.tsv"
     rows = [f"{i + 1}\t{node.term}\t{clustering.assignment[i]}" for i, node in enumerate(result.network.terms)]
-    path.write_text("\n".join(rows) + ("\n" if rows else ""), encoding="utf-8", newline="\n")
+    path = write_files(config.out_dir, {"clusters.tsv": lambda p: write_lines(p, rows)})["clusters.tsv"]
     print(f"{clustering.n_clusters} clusters at resolution {config.resolution} "
           f"(quality {clustering.quality:.6f}) -> {path}")
     return 0
@@ -173,9 +165,8 @@ def cmd_export(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     report = compare_networks(config)
-    out = _out_dir(config)
-    path = out / "comparison.json"
-    path.write_text(report.to_json(), encoding="utf-8", newline="\n")
+    paths = write_files(config.out_dir, {"comparison.json": lambda p: write_json(p, report.to_dict())})
+    path = paths["comparison.json"]
     for metric in ("jaccard", "cosine"):
         matrix = getattr(report, metric)
         verdict = "holds" if report.ordering_holds[metric] else "does not hold"

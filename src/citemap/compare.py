@@ -10,7 +10,6 @@ to each other than the citing-paper network sits to the context network.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -44,9 +43,6 @@ class ComparisonReport:
             "ordering_holds": self.ordering_holds,
             "shared_terms": {pair: list(terms) for pair, terms in self.shared_terms.items()},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def frequency_table(net: CoocNetwork, clustering: Clustering, cluster_id: int, k: int,

@@ -16,8 +16,9 @@ from __future__ import annotations
 import json
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from types import NoneType
 from typing import Iterable, Iterator
 
 from .errors import CitemapWarning, ParseError
@@ -45,6 +46,19 @@ def normalize_doi(raw: str | None) -> str | None:
     return doi or None
 
 
+# field -> accepted types of a document and a context; a bool is never accepted
+_DOC_FIELDS = {"id": (str,), "doi": (str, NoneType), "title": (str,), "abstract": (str, NoneType),
+               "year": (int, NoneType), "set_tag": (str,)}
+_CTX_FIELDS = {"citing_id": (str,), "cited_id": (str,), "text": (str,), "ordinal": (int,)}
+
+
+def _check_types(record: object, fields: dict[str, tuple[type, ...]]) -> None:
+    for name, accepted in fields.items():
+        value = getattr(record, name)
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in accepted)}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Document:
     """One scholarly record. The DOI is normalized at construction."""
@@ -57,6 +71,7 @@ class Document:
     year: int | None = None
 
     def __post_init__(self) -> None:
+        _check_types(self, _DOC_FIELDS)
         if not self.id:
             raise ValueError("document id must be non-empty")
         if self.set_tag not in SET_TAGS:
@@ -66,8 +81,6 @@ class Document:
             if norm is None or not norm.startswith("10."):
                 raise ValueError(f"invalid DOI {self.doi!r}: expected a '10.' prefix after normalization")
             object.__setattr__(self, "doi", norm)
-        if self.year is not None and not isinstance(self.year, int):
-            raise ValueError(f"year must be an integer, got {self.year!r}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +97,7 @@ class CitationContext:
     ordinal: int = 1
 
     def __post_init__(self) -> None:
+        _check_types(self, _CTX_FIELDS)
         stripped = self.text.strip()
         if not stripped:
             raise ValueError("context text must be non-empty after trimming")
@@ -158,28 +172,15 @@ class CorpusStats:
         }
 
 
-_DOC_FIELDS = ("id", "doi", "title", "abstract", "year", "set_tag")
-_CTX_FIELDS = ("citing_id", "cited_id", "text", "ordinal")
-
-
 def _document_from_record(record: dict) -> Document:
-    return Document(
-        id=record.get("id", ""),
-        title=record.get("title") or "",
-        set_tag=record.get("set_tag", ""),
-        doi=record.get("doi"),
-        abstract=record.get("abstract"),
-        year=record.get("year"),
-    )
+    fields = {name: record[name] for name in _DOC_FIELDS if name in record}
+    if fields.get("title") is None:
+        fields["title"] = ""  # a dump may leave the title out or null
+    return Document(**fields)
 
 
 def _context_from_record(record: dict) -> CitationContext:
-    return CitationContext(
-        citing_id=record.get("citing_id", ""),
-        cited_id=record.get("cited_id", ""),
-        text=record.get("text", ""),
-        ordinal=record.get("ordinal", 1),
-    )
+    return CitationContext(**{name: record[name] for name in _CTX_FIELDS if name in record})
 
 
 def load_corpus(path: str | Path) -> tuple[DocumentSet, list[CitationContext]]:
@@ -228,15 +229,9 @@ def load_corpus(path: str | Path) -> tuple[DocumentSet, list[CitationContext]]:
 def write_corpus(path: str | Path, docs: DocumentSet, contexts: Iterable[CitationContext]) -> Path:
     """Write a corpus dump (inverse of load_corpus). Deterministic bytes."""
     path = Path(path)
-    lines = []
-    for doc in docs:
-        record = {"kind": "document", "id": doc.id, "doi": doc.doi, "title": doc.title,
-                  "abstract": doc.abstract, "year": doc.year, "set_tag": doc.set_tag}
-        lines.append(json.dumps(record, ensure_ascii=False, sort_keys=True))
-    for ctx in contexts:
-        record = {"kind": "context", "citing_id": ctx.citing_id, "cited_id": ctx.cited_id,
-                  "text": ctx.text, "ordinal": ctx.ordinal}
-        lines.append(json.dumps(record, ensure_ascii=False, sort_keys=True))
+    records = [{"kind": "document", **asdict(doc)} for doc in docs]
+    records += [{"kind": "context", **asdict(ctx)} for ctx in contexts]
+    lines = [json.dumps(record, ensure_ascii=False, sort_keys=True) for record in records]
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8", newline="\n")
     return path
 

@@ -32,6 +32,18 @@ PALETTE = (
 )
 
 
+def write_lines(path: str | Path, rows: list[str]) -> Path:
+    """Write ``rows`` as UTF-8 lines with LF endings; a trailing newline unless there are none."""
+    path = Path(path)
+    path.write_text("\n".join(rows) + ("\n" if rows else ""), encoding="utf-8", newline="\n")
+    return path
+
+
+def write_json(path: str | Path, payload: dict) -> Path:
+    """Write ``payload`` as indented JSON with sorted keys, UTF-8, LF endings."""
+    return write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
+
+
 def _xml_escape(text: str) -> str:
     # what xml.sax.saxutils.escape does, without importing urllib and http.client through it
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
@@ -47,12 +59,15 @@ class MapRecord:
     occurrences: int
 
 
-def _check_aligned(layout: MapLayout, net: CoocNetwork, clustering: Clustering) -> None:
+def _check_aligned(layout: MapLayout, net: CoocNetwork, clustering: Clustering,
+                   sim: SimilarityMatrix | None = None) -> None:
     n = len(net.terms)
     if len(layout.positions) != n:
         raise ConsistencyError(f"{len(layout.positions)} positions for {n} terms")
     if len(clustering.assignment) != n:
         raise ConsistencyError(f"{len(clustering.assignment)} cluster assignments for {n} terms")
+    if sim is not None and tuple(sim.terms) != net.term_strings:
+        raise ConsistencyError("similarity matrix and network terms differ")
 
 
 def map_records(layout: MapLayout, net: CoocNetwork, clustering: Clustering) -> list[MapRecord]:
@@ -73,12 +88,10 @@ def map_records(layout: MapLayout, net: CoocNetwork, clustering: Clustering) -> 
 
 def export_map(layout: MapLayout, net: CoocNetwork, clustering: Clustering, path: str | Path) -> Path:
     """Write the map TSV: id, label, x, y, cluster, occurrences."""
-    path = Path(path)
     lines = ["\t".join(MAP_COLUMNS)]
     for rec in map_records(layout, net, clustering):
         lines.append(f"{rec.id}\t{rec.label}\t{rec.x:.4f}\t{rec.y:.4f}\t{rec.cluster}\t{rec.occurrences}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return path
+    return write_lines(path, lines)
 
 
 def read_map_file(path: str | Path) -> list[MapRecord]:
@@ -105,18 +118,12 @@ def export_network(net: CoocNetwork, path: str | Path) -> Path:
     Rows are ``i<TAB>j<TAB>c_ij`` with 1-based indices, i < j, sorted; an
     empty edge set produces an empty file.
     """
-    path = Path(path)
-    rows = [f"{i + 1}\t{j + 1}\t{c}" for (i, j), c in sorted(net.edges.items())]
-    path.write_text("\n".join(rows) + ("\n" if rows else ""), encoding="utf-8", newline="\n")
-    return path
+    return write_lines(path, [f"{i + 1}\t{j + 1}\t{c}" for (i, j), c in sorted(net.edges.items())])
 
 
 def export_terms(net: CoocNetwork, path: str | Path) -> Path:
     """Write the term sidecar of the edge list: ``index<TAB>term<TAB>occurrences``, 1-based."""
-    path = Path(path)
-    rows = [f"{i + 1}\t{node.term}\t{node.occurrences}" for i, node in enumerate(net.terms)]
-    path.write_text("\n".join(rows) + ("\n" if rows else ""), encoding="utf-8", newline="\n")
-    return path
+    return write_lines(path, [f"{i + 1}\t{node.term}\t{node.occurrences}" for i, node in enumerate(net.terms)])
 
 
 def read_network_file(path: str | Path, terms_path: str | Path, counting_mode: str = "binary") -> CoocNetwork:
@@ -126,10 +133,13 @@ def read_network_file(path: str | Path, terms_path: str | Path, counting_mode: s
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError(f"{terms_path}:{lineno}: expected 'index<TAB>term<TAB>occurrences'")
-        index, term, occurrences = parts
-        if int(index) != lineno:
+        try:
+            index, occurrences = int(parts[0]), int(parts[2])
+        except ValueError as exc:
+            raise ParseError(f"{terms_path}:{lineno}: {exc}") from exc
+        if index != lineno:
             raise ParseError(f"{terms_path}:{lineno}: index {index} out of order")
-        terms.append(TermNode(term, int(occurrences)))
+        terms.append(TermNode(parts[1], occurrences))
     edges: dict[tuple[int, int], int] = {}
     path = Path(path)
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -142,6 +152,8 @@ def read_network_file(path: str | Path, terms_path: str | Path, counting_mode: s
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if not 1 <= i < j <= len(terms):
             raise ParseError(f"{path}:{lineno}: bad index pair ({i}, {j})")
+        if (i - 1, j - 1) in edges:
+            raise ParseError(f"{path}:{lineno}: repeated index pair ({i}, {j})")
         edges[(i - 1, j - 1)] = count
     return CoocNetwork(tuple(terms), edges, counting_mode, {"imported_from": str(path)})
 
@@ -149,9 +161,7 @@ def read_network_file(path: str | Path, terms_path: str | Path, counting_mode: s
 def export_graph_json(net: CoocNetwork, sim: SimilarityMatrix, layout: MapLayout,
                       clustering: Clustering, path: str | Path) -> Path:
     """Write the combined graph JSON (nodes with positions, weighted edges)."""
-    _check_aligned(layout, net, clustering)
-    if tuple(sim.terms) != net.term_strings:
-        raise ConsistencyError("similarity matrix and network terms differ")
+    _check_aligned(layout, net, clustering, sim)
     nodes = [
         {
             "id": i + 1,
@@ -167,10 +177,7 @@ def export_graph_json(net: CoocNetwork, sim: SimilarityMatrix, layout: MapLayout
         {"source": i + 1, "target": j + 1, "cooccurrences": c, "strength": sim.strengths[(i, j)]}
         for (i, j), c in sorted(net.edges.items())
     ]
-    payload = {"nodes": nodes, "edges": edges}
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
-    return path
+    return write_json(path, {"nodes": nodes, "edges": edges})
 
 
 def _node_radius(occurrences: int, node_scale: float) -> float:
@@ -187,7 +194,7 @@ def render_svg(layout: MapLayout, net: CoocNetwork, clustering: Clustering, path
     strength is drawn (strength falls back to co-occurrence counts when no
     similarity matrix is given), stroke width proportional to strength.
     """
-    _check_aligned(layout, net, clustering)
+    _check_aligned(layout, net, clustering, sim)
     n = len(net.terms)
     xs = [p[0] for p in layout.positions]
     ys = [p[1] for p in layout.positions]
@@ -204,13 +211,7 @@ def render_svg(layout: MapLayout, net: CoocNetwork, clustering: Clustering, path
         return (CANVAS_WIDTH / 2 + (px - center_x) * scale,
                 CANVAS_HEIGHT / 2 - (py - center_y) * scale)
 
-    weights: dict[tuple[int, int], float]
-    if sim is not None:
-        if tuple(sim.terms) != net.term_strings:
-            raise ConsistencyError("similarity matrix and network terms differ")
-        weights = dict(sim.strengths)
-    else:
-        weights = {pair: float(c) for pair, c in net.edges.items()}
+    weights = dict(sim.strengths) if sim is not None else {pair: float(c) for pair, c in net.edges.items()}
     ranked = sorted(weights.items(), key=lambda item: (-item[1], item[0]))
     quartile = ranked[: math.ceil(len(ranked) / 4)] if ranked else []
     max_weight = max((w for _, w in quartile), default=1.0)
@@ -239,6 +240,4 @@ def render_svg(layout: MapLayout, net: CoocNetwork, clustering: Clustering, path
             f'font-family="sans-serif" font-size="11">{label}</text>'
         )
     parts.append("</svg>")
-    path = Path(path)
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")
-    return path
+    return write_lines(path, parts)

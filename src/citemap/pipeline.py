@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
+from types import NoneType
 from typing import Callable, Iterable
 
 from . import __version__
@@ -22,7 +26,7 @@ from .clustering import Clustering, cluster
 from .compare import ComparisonReport, triplet_report
 from .corpus import CitationContext, DocumentSet, dataset_stats, load_corpus
 from .errors import CitemapError, ConfigError, StageError
-from .exports import export_graph_json, export_map, export_network, export_terms, render_svg
+from .exports import export_graph_json, export_map, export_network, export_terms, render_svg, write_json
 from .layout import MapLayout, layout
 from .network import (
     CoocNetwork,
@@ -92,6 +96,11 @@ class PipelineConfig:
         unknown = set(mapping) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in mapping.items():
+            kind = cls.__dataclass_fields__[name].type  # "int", "float", "str" or "str | None"
+            accepted = {"int": int, "float": (int, float), "str": str, "str | None": (str, NoneType)}[kind]
+            if isinstance(value, bool) or not isinstance(value, accepted):  # bool subclasses int
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")
         config = cls(**mapping)
         config.validate()
         return config
@@ -289,11 +298,6 @@ def build_manifest(result: PipelineResult, outputs: Iterable[str]) -> dict:
     }
 
 
-def write_json(path: Path, payload: dict) -> None:
-    """Write ``payload`` as indented JSON with sorted keys, UTF-8, LF endings."""
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
-
-
 def _corpus_stats(result: NetworkResult) -> dict:
     docs = result.documents
     return dataset_stats(docs.filter_tag("cited"), docs.filter_tag("citing"), result.contexts).to_dict()
@@ -314,31 +318,43 @@ WRITERS: dict[str, Callable[[PipelineResult, Path], object]] = {
 OUTPUT_NAMES = tuple(WRITERS)
 
 
-def write_outputs(result: NetworkResult, names: Iterable[str]) -> dict[str, Path]:
-    """Write the named outputs, in order, into ``result.config.out_dir``.
+def write_files(out_dir: str | Path, writers: dict[str, Callable[[Path], object]]) -> dict[str, Path]:
+    """Write ``{name: writer(path)}`` into ``out_dir`` all or nothing; returns name -> path.
 
-    If any writer fails, every named file is removed, including one left by
-    an earlier run, so the directory never mixes two runs. Returns name ->
-    path.
+    Every writer writes a staged file; only then are they renamed into place,
+    in order (manifest last). On failure the staged and renamed files are
+    removed and StageError('export') raised, so the files that stay are the
+    earlier run's.
     """
-    out_dir = Path(result.config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {name: out_dir / name for name in names}
+    out_dir = Path(out_dir)
+    paths = {name: out_dir / name for name in writers}
+    staged = {name: out_dir / f".{name}.{os.getpid()}.tmp" for name in writers}
+    placed: list[Path] = []
     try:
-        for name, path in paths.items():
-            WRITERS[name](result, path)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, write in writers.items():
+            write(staged[name])
+        for name in writers:
+            os.replace(staged[name], paths[name])
+            placed.append(paths[name])
     except Exception as exc:
-        for path in paths.values():
-            path.unlink(missing_ok=True)
+        for path in [*staged.values(), *placed]:
+            with suppress(OSError):  # cleanup must not hide the failure that triggered it
+                path.unlink(missing_ok=True)
         raise StageError("export", exc) from exc
     return paths
+
+
+def write_outputs(result: NetworkResult, names: Iterable[str]) -> dict[str, Path]:
+    """Commit the named ``WRITERS`` outputs of ``result`` into its ``out_dir`` (see write_files)."""
+    return write_files(result.config.out_dir, {name: partial(WRITERS[name], result) for name in names})
 
 
 def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     """Execute all stages and write every output into ``config.out_dir``.
 
-    Any stage failure aborts with the stage name; a failed export leaves none
-    of ``OUTPUT_NAMES`` behind. Returns output name -> path.
+    Any stage failure aborts with the stage name; a failed export keeps the
+    previous run's files. Returns output name -> path.
     """
     return write_outputs(analyze(config), OUTPUT_NAMES)
 

@@ -14,6 +14,7 @@ from citemap.compare import (
     weighted_profile_similarity,
 )
 from citemap.errors import ConsistencyError
+from citemap.exports import write_json
 
 from conftest import network
 
@@ -190,9 +191,10 @@ class TestTripletReport:
         assert swapped.jaccard["cited"]["context"] == base.jaccard["citing"]["context"]
         assert swapped.cosine["citing"]["context"] == base.cosine["cited"]["context"]
 
-    def test_json_serialization_shape(self):
+    def test_json_serialization_shape(self, tmp_path):
         net = network({"a": 2, "b": 3}, {(0, 1): 1})
-        payload = json.loads(triplet_report(net, net, net).to_json())
+        write_json(tmp_path / "comparison.json", triplet_report(net, net, net).to_dict())
+        payload = json.loads((tmp_path / "comparison.json").read_text(encoding="utf-8"))
         assert set(payload) == {"jaccard", "cosine", "ordering_holds", "shared_terms"}
         assert set(payload["jaccard"]) == {"cited", "citing", "context"}
         assert payload["ordering_holds"] == {"jaccard": False, "cosine": False}

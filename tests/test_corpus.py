@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from citemap.cli import main
 from citemap.corpus import (
     CitationContext,
     Document,
@@ -47,6 +48,18 @@ class TestDocument:
         with pytest.raises(ValueError):
             Document(id="a", title="t", set_tag="reviewer")
 
+    @pytest.mark.parametrize("fields", [
+        {"id": 5}, {"title": 5}, {"title": None}, {"set_tag": None}, {"doi": 10.1}, {"abstract": ["text"]},
+        {"year": "1999"}, {"year": 1999.0}, {"year": True},
+    ])
+    def test_field_types_checked(self, fields):
+        with pytest.raises(TypeError, match=f"^{next(iter(fields))} must be"):
+            Document(**{"id": "a", "title": "t", "set_tag": "cited", **fields})
+
+    def test_optional_fields_take_none(self):
+        d = Document(id="a", title="t", set_tag="cited", doi=None, abstract=None, year=None)
+        assert (d.doi, d.abstract, d.year) == (None, None, None)
+
     def test_normalize_doi_blank(self):
         assert normalize_doi("   ") is None
         assert normalize_doi(None) is None
@@ -64,6 +77,13 @@ class TestCitationContext:
     def test_ordinal_must_be_positive(self):
         with pytest.raises(ValueError):
             CitationContext("a", "b", "x", ordinal=0)
+
+    @pytest.mark.parametrize("fields", [
+        {"text": 5}, {"citing_id": 7}, {"cited_id": None}, {"ordinal": 1.0}, {"ordinal": True}, {"ordinal": None},
+    ])
+    def test_field_types_checked(self, fields):
+        with pytest.raises(TypeError, match=f"^{next(iter(fields))} must be"):
+            CitationContext(**{"citing_id": "a", "cited_id": "b", "text": "x", **fields})
 
 
 class TestDocumentSet:
@@ -131,6 +151,28 @@ class TestLoadCorpus:
         path.write_text('{"kind": "document", "id": "a", "title": "x", "set_tag": "cited"}\n{nope\n', encoding="utf-8")
         with pytest.raises(ParseError, match=r":2:"):
             load_corpus(path)
+
+    @pytest.mark.parametrize("record", [
+        {"kind": "context", "citing_id": "a", "cited_id": "a", "text": 5},
+        {"kind": "context", "citing_id": "a", "cited_id": "a", "text": "s", "ordinal": "2"},
+        {"kind": "document", "id": "b", "title": 5, "set_tag": "cited"},
+        {"kind": "document", "id": "b", "title": "t", "set_tag": "cited", "year": False},
+    ])
+    def test_field_of_wrong_type_names_line(self, tmp_path, record):
+        path = tmp_path / "typed.jsonl"
+        write_lines(path, [{"kind": "document", "id": "a", "title": "One", "set_tag": "cited"}, record])
+        with pytest.raises(ParseError, match=r":2: \w+ must be"):
+            load_corpus(path)
+        out = tmp_path / "out"
+        assert main(["ingest", "--corpus", str(path), "--out", str(out)]) == 3
+        assert main(["extract", "--corpus", str(path), "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_null_title_loads_as_empty(self, tmp_path):
+        path = tmp_path / "null.jsonl"
+        write_lines(path, [{"kind": "document", "id": "a", "title": None, "set_tag": "cited"}])
+        docs, _ = load_corpus(path)
+        assert docs.get("a").title == ""
 
     def test_unknown_kind_names_line(self, tmp_path):
         path = tmp_path / "kind.jsonl"

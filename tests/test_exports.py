@@ -127,6 +127,19 @@ class TestExportNetwork:
         pairs = [tuple(map(int, line.split("\t")[:2])) for line in path.read_text().splitlines()]
         assert pairs == sorted(pairs)
 
+    @pytest.mark.parametrize("terms", ["1\ta\t3\nx\tb\t5\n", "1\ta\t3\n2\tb\tmany\n"])
+    def test_non_integer_term_field_names_line(self, tmp_path, terms):
+        (tmp_path / "terms.tsv").write_text(terms, encoding="utf-8")
+        (tmp_path / "net.tsv").write_text("1\t2\t1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"terms\.tsv:2: invalid literal"):
+            read_network_file(tmp_path / "net.tsv", tmp_path / "terms.tsv")
+
+    def test_repeated_pair_names_line(self, tmp_path):
+        (tmp_path / "terms.tsv").write_text("1\ta\t3\n2\tb\t5\n", encoding="utf-8")
+        (tmp_path / "net.tsv").write_text("1\t2\t3\n1\t2\t5\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"net\.tsv:2: repeated index pair \(1, 2\)"):
+            read_network_file(tmp_path / "net.tsv", tmp_path / "terms.tsv")
+
 
 class TestGraphJson:
     def test_nodes_and_edges(self, tmp_path):

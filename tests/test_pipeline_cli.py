@@ -18,7 +18,14 @@ import citemap.providers as providers
 from citemap.cli import main
 from citemap.errors import ConfigError, StageError
 from citemap.exports import read_map_file, read_network_file
-from citemap.pipeline import OUTPUT_NAMES, PipelineConfig, analyze, compare_networks, run_pipeline
+from citemap.pipeline import (
+    OUTPUT_NAMES,
+    PipelineConfig,
+    analyze,
+    builtin_corpus_path,
+    compare_networks,
+    run_pipeline,
+)
 
 from conftest import sim
 
@@ -102,18 +109,35 @@ class TestRunPipeline:
         leftovers = [p.name for p in out.iterdir()] if out.exists() else []
         assert leftovers == []
 
-    def test_failed_rerun_leaves_no_outputs(self, demo_corpus, tmp_path, monkeypatch):
+    def test_failed_rerun_keeps_previous_run(self, demo_corpus, tmp_path, monkeypatch):
         out = tmp_path / "out"
         config = demo_config(demo_corpus, out)
-        run_pipeline(config)
+        first = {name: path.read_bytes() for name, path in run_pipeline(config).items()}
+        assert sorted(p.name for p in out.iterdir()) == sorted(OUTPUT_NAMES)  # nothing staged is left
 
         def broken_svg(*args, **kwargs):
             raise OSError("disk full")
 
         monkeypatch.setattr(pipeline_module, "render_svg", broken_svg)
-        with pytest.raises(StageError):
+        with pytest.raises(StageError) as excinfo:
             run_pipeline(config)
-        assert [name for name in OUTPUT_NAMES if (out / name).exists()] == []
+        assert excinfo.value.stage == "export"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+    def test_directory_at_an_output_name(self, demo_corpus, tmp_path):
+        out = tmp_path / "out"
+        config = demo_config(demo_corpus, out)
+        first = {name: path.read_bytes() for name, path in run_pipeline(config).items()}
+        (out / "graph.json").unlink()
+        (out / "graph.json").mkdir()
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(config)
+        assert excinfo.value.stage == "export"
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        # files renamed before the failing one are removed again; the rest are the first run's
+        assert "manifest.json" in files
+        assert files == {name: first[name] for name in files}
+        assert sorted(p.name for p in out.iterdir() if not p.is_file()) == ["graph.json"]
 
     def test_manifest_digests_match_word_list_bytes(self, demo_corpus, tmp_path):
         def sha256(path: Path) -> str:
@@ -291,6 +315,52 @@ class TestCli:
 
     def test_ingest_requires_some_source(self, tmp_path):
         assert main(["ingest", "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("command, corpus_name, name", [
+        ("ingest", "demo", "corpus_stats.json"),
+        ("extract", "demo", "lexicon.tsv"),
+        ("cluster", "demo", "clusters.tsv"),
+        ("compare", "planted", "comparison.json"),
+    ])
+    def test_failed_rerun_keeps_previous_file(self, command, corpus_name, name, tmp_path, monkeypatch, capsys):
+        corpus = str(builtin_corpus_path(corpus_name))
+        out = tmp_path / "out"
+        assert main([command, "--corpus", corpus, "--out", str(out)]) == 0
+        previous = (out / name).read_bytes()
+
+        def disk_full(path, data, *args, **kwargs):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        assert main([command, "--corpus", corpus, "--out", str(out)]) == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [name]
+        assert (out / name).read_bytes() == previous
+
+    @pytest.mark.parametrize("setting", [
+        {"min_occurrences": "4"},
+        {"restarts": True},
+        {"seed": 4.5},
+        {"resolution": "1.0"},
+        {"layout_tol": False},
+        {"mode": None},
+        {"out_dir": None},
+        {"stoplist": 7},
+    ], ids=lambda setting: next(iter(setting)))
+    def test_config_value_of_wrong_type_exit_code(self, setting, demo_corpus, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(setting))
+        code = main(["pipeline", "--config", str(config_path), "--corpus", str(demo_corpus),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: {next(iter(setting))} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_takes_int_for_float_and_null_for_optional_paths(self):
+        config = PipelineConfig.from_mapping({"resolution": 2, "stoplist": None, "corpus": None})
+        assert config.resolution == 2 and config.stoplist is None
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config_path = tmp_path / "config.json"

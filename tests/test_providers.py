@@ -253,6 +253,14 @@ class TestHttpProvider:
         with pytest.raises(ResponseError, match="oops"):
             HttpProvider(SPEC, session=session).publications_page("q", 5, 0)
 
+    @pytest.mark.parametrize("meta", [{"summary": 5}, {"doi": 10.1}])
+    def test_field_of_wrong_type_is_response_error(self, meta):
+        bad = entity("e1", "Title one")
+        bad["meta"].update(meta)
+        session = FakeSession([FakeResponse({"payload": {"entities": [bad]}})])
+        with pytest.raises(ResponseError, match="unusable entity: (abstract|doi) must be"):
+            HttpProvider(SPEC, session=session).publications_page("q", 5, 0)
+
     def test_missing_entities_array(self):
         session = FakeSession([FakeResponse({"payload": {"entities": {"not": "a list"}}})])
         with pytest.raises(ResponseError):
