@@ -6,6 +6,7 @@ Run this only after an intentional behavior change, then review the diff.
 
 from __future__ import annotations
 
+import json
 import shutil
 import sys
 import tempfile
@@ -13,9 +14,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from citemap.exports import write_json
 from citemap.pipeline import PipelineConfig, builtin_corpus_path, run_pipeline
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "golden" / "demo"
+# manifest parameters that name where this run read and wrote, not what it computed
+MANIFEST_PATH_FIELDS = ("corpus", "out_dir")
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
@@ -23,6 +27,10 @@ if __name__ == "__main__":
         paths = run_pipeline(PipelineConfig(corpus=str(builtin_corpus_path("demo")), out_dir=scratch))
         for name, path in sorted(paths.items()):
             if name == "manifest.json":
-                continue  # embeds the output directory path
-            shutil.copyfile(path, GOLDEN_DIR / name)
+                manifest = json.loads(path.read_text(encoding="utf-8"))
+                for field in MANIFEST_PATH_FIELDS:
+                    del manifest["parameters"][field]
+                write_json(GOLDEN_DIR / name, manifest)
+            else:
+                shutil.copyfile(path, GOLDEN_DIR / name)
             print(f"froze {GOLDEN_DIR / name}")

@@ -61,11 +61,9 @@ from .network import (
     select_top_terms,
 )
 from .pipeline import (
-    NetworkResult,
     PipelineConfig,
-    PipelineResult,
+    Run,
     analyze,
-    build_network,
     builtin_corpus_path,
     compare_networks,
     run_pipeline,

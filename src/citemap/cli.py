@@ -1,21 +1,22 @@
 """Command-line front end.
 
-Each subcommand runs the pipeline only as far as the files it writes need:
+Each subcommand writes a fixed set of files and runs exactly the stages those
+files read (``pipeline.Run``), from the corpus load up to the last one below:
 
-    subcommand  stages run                                    files written
-    ingest      corpus load, or a provider fetch              corpus_stats.json (and corpus.jsonl when fetching)
-    extract     network stage                                 lexicon.tsv
-    build       network stage                                 network.tsv, network_terms.tsv
-    cluster     network stage, cluster                        clusters.tsv
-    layout      network stage, cluster, layout                map.tsv
-    export      network stage, cluster, layout                map.tsv, network.tsv, network_terms.tsv, graph.json, map.svg
-    compare     network stage, cluster, layout, per network   comparison.json
-    pipeline    network stage, cluster, layout                export's files, corpus_stats.json, manifest.json
+    subcommand  files written                                                 last stage run
+    ingest      corpus_stats.json (and corpus.jsonl when fetching)            corpus load, or a provider fetch
+    extract     lexicon.tsv                                                   lexicon
+    build       network.tsv, network_terms.tsv                                relevance cut
+    cluster     clusters.tsv                                                  clustering
+    layout      map.tsv                                                       clustering and layout
+    export      map.tsv, network.tsv, network_terms.tsv, graph.json, map.svg  clustering and layout
+    compare     comparison.json                                               clustering and layout, 3 times
+    pipeline    export's files, corpus_stats.json, manifest.json              clustering and layout
 
-The network stage is ingest, units, lexicon, co-occurrence, relevance cut and
-association strength. Every subcommand writes its row all or nothing, so a
-failed write keeps the earlier run's files. Settings come from flags, which
-override a JSON config file, which overrides the built-in defaults.
+compare reads only the three networks but still computes their maps. Every
+subcommand writes its files all or nothing, so a failed write keeps the
+earlier run's files. Settings come from flags, which override a JSON config
+file, which overrides the built-in defaults.
 
 Exit codes: 0 success, 2 configuration error, 3 input/parse error,
 4 provider/transport error.
@@ -36,17 +37,8 @@ from .errors import (
     ProviderError,
     StageError,
 )
-from .exports import write_json, write_lines
-from .pipeline import (
-    PipelineConfig,
-    analyze,
-    build_network,
-    cluster_network,
-    compare_networks,
-    run_pipeline,
-    write_files,
-    write_outputs,
-)
+from .exports import write_json
+from .pipeline import PipelineConfig, Run, compare_networks, run_pipeline, write_files, write_outputs
 
 
 def _settings_parser() -> argparse.ArgumentParser:
@@ -115,50 +107,30 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    result = build_network(config)
-    rows = [f"{entry.term}\t{entry.occurrence_count}" for entry in result.lexicon]
-    path = write_files(config.out_dir, {"lexicon.tsv": lambda p: write_lines(p, rows)})["lexicon.tsv"]
-    print(f"{len(result.lexicon)} terms with {config.min_occurrences}+ occurrences -> {path}")
-    return 0
+# subcommand -> (help, files written, summary line); the run computes only the stages those files read
+STAGED = {
+    "extract": ("build the thresholded lexicon", ("lexicon.tsv",), lambda r, paths: (
+        f"{len(r.lexicon)} terms with {r.config.min_occurrences}+ occurrences -> {paths['lexicon.tsv']}")),
+    "build": ("build the co-occurrence network files", ("network.tsv", "network_terms.tsv"), lambda r, paths: (
+        f"{len(r.network.terms)} terms ({r.network.provenance.get('retained_before_exclusions')} before exclusions), "
+        f"{len(r.network.edges)} edges -> {paths['network.tsv']}")),
+    "cluster": ("cluster the network terms", ("clusters.tsv",), lambda r, paths: (
+        f"{r.clustering.n_clusters} clusters at resolution {r.config.resolution} "
+        f"(quality {r.clustering.quality:.6f}) -> {paths['clusters.tsv']}")),
+    "layout": ("compute the 2D map", ("map.tsv",), lambda r, paths: (
+        f"layout objective {r.map_layout.objective:.6f} "
+        f"({'converged' if r.map_layout.converged else 'max_iter reached'}, "
+        f"{r.map_layout.iterations_used} iterations) -> {paths['map.tsv']}")),
+    "export": ("write map, network, JSON, and SVG exports",
+               ("map.tsv", "network.tsv", "network_terms.tsv", "graph.json", "map.svg"),
+               lambda r, paths: f"wrote {', '.join(paths)} under {Path(r.config.out_dir)}"),
+}
 
 
-def cmd_build(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    result = build_network(config)
-    paths = write_outputs(result, ("network.tsv", "network_terms.tsv"))
-    provenance = result.network.provenance
-    print(f"{len(result.network.terms)} terms ({provenance.get('retained_before_exclusions')} before exclusions), "
-          f"{len(result.network.edges)} edges -> {paths['network.tsv']}")
-    return 0
-
-
-def cmd_cluster(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    result = build_network(config)
-    clustering = cluster_network(result)
-    rows = [f"{i + 1}\t{node.term}\t{clustering.assignment[i]}" for i, node in enumerate(result.network.terms)]
-    path = write_files(config.out_dir, {"clusters.tsv": lambda p: write_lines(p, rows)})["clusters.tsv"]
-    print(f"{clustering.n_clusters} clusters at resolution {config.resolution} "
-          f"(quality {clustering.quality:.6f}) -> {path}")
-    return 0
-
-
-def cmd_layout(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    result = analyze(config)
-    path = write_outputs(result, ("map.tsv",))["map.tsv"]
-    state = "converged" if result.map_layout.converged else "max_iter reached"
-    print(f"layout objective {result.map_layout.objective:.6f} ({state}, "
-          f"{result.map_layout.iterations_used} iterations) -> {path}")
-    return 0
-
-
-def cmd_export(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    paths = write_outputs(analyze(config), ("map.tsv", "network.tsv", "network_terms.tsv", "graph.json", "map.svg"))
-    print(f"wrote {', '.join(paths)} under {Path(config.out_dir)}")
+def cmd_staged(args: argparse.Namespace) -> int:
+    run = Run(_config_from_args(args))
+    _, names, summary = STAGED[args.command]
+    print(summary(run, write_outputs(run, names)))
     return 0
 
 
@@ -199,12 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--page-size", dest="page_size", type=int, default=50)
     ingest.set_defaults(func=cmd_ingest)
 
+    for name, (help_text, _, _) in STAGED.items():
+        sub.add_parser(name, parents=[settings], help=help_text).set_defaults(func=cmd_staged)
     for name, func, help_text in (
-        ("extract", cmd_extract, "build the thresholded lexicon"),
-        ("build", cmd_build, "build the co-occurrence network files"),
-        ("cluster", cmd_cluster, "cluster the network terms"),
-        ("layout", cmd_layout, "compute the 2D map"),
-        ("export", cmd_export, "write map, network, JSON, and SVG exports"),
         ("compare", cmd_compare, "compare the cited/citing/context networks"),
         ("pipeline", cmd_pipeline, "run everything and write the manifest"),
     ):

@@ -1,7 +1,9 @@
 """End-to-end pipeline: corpus -> units -> lexicon -> network -> map files.
 
-Defaults: binary counting, minimum term occurrence 4, the 60% most relevant
-terms kept, resolution 1.0, seed 42. A run writes all exports plus a
+A ``Run`` computes each stage the first time it is read, and writing a file
+reads the stages that file needs, so a command runs exactly those. Defaults:
+binary counting, minimum term occurrence 4, the 60% most relevant terms
+kept, resolution 1.0, seed 42. A full run writes all exports plus a
 manifest holding every tunable parameter and the SHA-256 of every input,
 and contains no timestamps, so identical inputs reproduce identical bytes.
 The manifest doubles as a config file: feeding it back in reproduces the
@@ -15,7 +17,7 @@ import json
 import os
 from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from importlib import resources
 from pathlib import Path
 from types import NoneType
@@ -24,9 +26,9 @@ from typing import Callable, Iterable
 from . import __version__
 from .clustering import Clustering, cluster
 from .compare import ComparisonReport, triplet_report
-from .corpus import CitationContext, DocumentSet, dataset_stats, load_corpus
+from .corpus import dataset_stats, load_corpus
 from .errors import CitemapError, ConfigError, StageError
-from .exports import export_graph_json, export_map, export_network, export_terms, render_svg, write_json
+from .exports import export_graph_json, export_map, export_network, export_terms, render_svg, write_json, write_lines
 from .layout import MapLayout, layout
 from .network import (
     CoocNetwork,
@@ -160,162 +162,146 @@ def _resolve_word_lists(config: PipelineConfig) -> WordLists:
     )
 
 
-@dataclass
-class NetworkResult:
-    """The network stage of one run: ingest through association strength."""
-
-    config: PipelineConfig
-    documents: DocumentSet
-    contexts: list[CitationContext]
-    units: list[TextUnit]
-    lexicon: Lexicon
-    network: CoocNetwork
-    similarity: SimilarityMatrix
-    word_lists: WordLists
-    corpus_digest: str
-
-
-@dataclass
-class PipelineResult(NetworkResult):
-    """Everything one run produced, for programmatic use and the exporters."""
-
-    clustering: Clustering
-    map_layout: MapLayout
-
-
-def _stage(name: str, call: Callable):
+def _stage(name: str, call: Callable, *args):
+    """``call(*args)``, failing as StageError(name). Upstream stages passed in
+    ``args`` are computed before this stage begins, so their failures keep their names."""
     try:
-        return call()
+        return call(*args)
     except (CitemapError, ValueError, OSError) as exc:
         raise StageError(name, exc) from exc
 
 
-def _select_units(config: PipelineConfig, docs: DocumentSet, contexts: list[CitationContext]) -> list[TextUnit]:
-    if config.mode == "citation-context":
-        return make_units(contexts, CITATION_CONTEXT)
-    if config.doc_set == "both":
-        selected = docs
-    else:
-        selected = docs.filter_tag(config.doc_set)
-    return make_units(selected, TITLE_ABSTRACT)
+def _relevance_cut(counted: CoocNetwork, fraction: float, exclusions: frozenset[str]) -> CoocNetwork:
+    selected = select_top_terms(counted, relevance_scores(counted), fraction, exclusions)
+    if not selected.edges:  # no map without an edge; checked here, so that build fails too
+        raise ValueError("association strength needs at least one edge")
+    connected = [i for i, w in enumerate(selected.node_strengths()) if w > 0]
+    if len(connected) < len(selected.terms):
+        # isolated terms have no similarity, hence no position on the map
+        return selected.subnetwork(connected)
+    return selected
 
 
-def build_network(config: PipelineConfig) -> NetworkResult:
-    """Run ingest, units, lexicon, co-occurrence, relevance cut and association strength."""
-    config.validate()
-    if not config.corpus:
-        raise ConfigError("no corpus path configured; fetch one with 'ingest' first")
-    corpus_path = Path(config.corpus)
-    docs, contexts = _stage("ingest", lambda: load_corpus(corpus_path))
-    corpus_digest = _sha256(corpus_path.read_bytes())
-    word_lists = _stage("ingest", lambda: _resolve_word_lists(config))
+class Run:
+    """One run: its config and loaded inputs, and each stage computed when first read.
 
-    units = _stage("units", lambda: _select_units(config, docs, contexts))
-    if not units:
-        raise StageError("units", ValueError(f"no units for mode {config.mode!r} / set {config.doc_set!r}"))
+    The constructor validates the config and loads the corpus and word lists.
+    Each stage is a property computed once: units, lexicon, network (after
+    the relevance cut), similarity, clustering and map_layout.
+    """
 
-    lexicon = _stage(
-        "lexicon",
-        lambda: build_lexicon(
-            units,
-            min_occurrences=config.min_occurrences,
-            thesaurus=word_lists.thesaurus,
-            stoplist=word_lists.stoplist,
-        ),
-    )
-    if len(lexicon) == 0:
-        raise StageError("lexicon", ValueError(f"empty lexicon: no term occurs in {config.min_occurrences}+ units"))
+    def __init__(self, config: PipelineConfig):
+        config.validate()
+        if not config.corpus:
+            raise ConfigError("no corpus path configured; fetch one with 'ingest' first")
+        corpus_path = Path(config.corpus)
+        self.config = config
+        self.documents, self.contexts = _stage("ingest", load_corpus, corpus_path)
+        self.corpus_digest = _sha256(corpus_path.read_bytes())
+        self.word_lists = _stage("ingest", _resolve_word_lists, config)
 
-    counted = _stage("network", lambda: count_cooccurrences(units, lexicon, config.counting))
+    @cached_property
+    def units(self) -> list[TextUnit]:
+        config = self.config
+        if config.mode == "citation-context":
+            units = _stage("units", make_units, self.contexts, CITATION_CONTEXT)
+        else:
+            docs = self.documents if config.doc_set == "both" else self.documents.filter_tag(config.doc_set)
+            units = _stage("units", make_units, docs, TITLE_ABSTRACT)
+        if not units:
+            raise StageError("units", ValueError(f"no units for mode {config.mode!r} / set {config.doc_set!r}"))
+        return units
 
-    def _relevance_cut() -> CoocNetwork:
-        scores = relevance_scores(counted)
-        selected = select_top_terms(counted, scores, config.relevance_fraction, word_lists.exclusions)
-        strengths = selected.node_strengths()
-        connected = [i for i, w in enumerate(strengths) if w > 0]
-        if len(connected) < len(selected.terms):
-            # isolated terms have no similarity, hence no position on the map
-            return selected.subnetwork(connected)
-        return selected
+    @cached_property
+    def lexicon(self) -> Lexicon:
+        minimum, words = self.config.min_occurrences, self.word_lists
+        lexicon = _stage("lexicon", build_lexicon, self.units, minimum, words.thesaurus, words.stoplist)
+        if len(lexicon) == 0:
+            raise StageError("lexicon", ValueError(f"empty lexicon: no term occurs in {minimum}+ units"))
+        return lexicon
 
-    network = _stage("relevance", _relevance_cut)
-    similarity = _stage("relevance", lambda: association_strength(network))
-    return NetworkResult(
-        config=config,
-        documents=docs,
-        contexts=contexts,
-        units=units,
-        lexicon=lexicon,
-        network=network,
-        similarity=similarity,
-        word_lists=word_lists,
-        corpus_digest=corpus_digest,
-    )
+    @cached_property
+    def network(self) -> CoocNetwork:
+        counted = _stage("network", count_cooccurrences, self.units, self.lexicon, self.config.counting)
+        return _stage("relevance", _relevance_cut, counted, self.config.relevance_fraction,
+                      self.word_lists.exclusions)
 
+    @cached_property
+    def similarity(self) -> SimilarityMatrix:
+        return _stage("relevance", association_strength, self.network)
 
-def cluster_network(net: NetworkResult) -> Clustering:
-    """Cluster the network's terms at the configured resolution, seed and restarts."""
-    config = net.config
-    return _stage("cluster", lambda: cluster(net.similarity, config.resolution, config.seed, config.restarts))
+    @cached_property
+    def clustering(self) -> Clustering:
+        config = self.config
+        return _stage("cluster", cluster, self.similarity, config.resolution, config.seed, config.restarts)
 
-
-def analyze(config: PipelineConfig) -> PipelineResult:
-    """Run every computation stage (no files written)."""
-    net = build_network(config)
-    clustering = cluster_network(net)
-    map_layout = _stage(
-        "layout", lambda: layout(net.similarity, config.seed, config.layout_max_iter, config.layout_tol)
-    )
-    return PipelineResult(**vars(net), clustering=clustering, map_layout=map_layout)
+    @cached_property
+    def map_layout(self) -> MapLayout:
+        config = self.config
+        return _stage("layout", layout, self.similarity, config.seed, config.layout_max_iter, config.layout_tol)
 
 
-def build_manifest(result: PipelineResult, outputs: Iterable[str]) -> dict:
-    config = result.config
-    provenance = result.network.provenance
+def analyze(config: PipelineConfig) -> Run:
+    """A run with every stage computed, clustering before layout (no files written)."""
+    run = Run(config)
+    run.clustering, run.map_layout  # reading a stage computes it
+    return run
+
+
+def build_manifest(run: Run, outputs: Iterable[str]) -> dict:
+    config = run.config
+    provenance = run.network.provenance
     return {
         "artifact": {"name": "citemap", "version": __version__},
         "parameters": asdict(config),
         "inputs": {
-            "corpus_sha256": result.corpus_digest,
-            "stoplist_sha256": result.word_lists.digests["stoplist"],
-            "exclusions_sha256": result.word_lists.digests["exclusions"],
-            "thesaurus_sha256": result.word_lists.digests["thesaurus"],
+            "corpus_sha256": run.corpus_digest,
+            "stoplist_sha256": run.word_lists.digests["stoplist"],
+            "exclusions_sha256": run.word_lists.digests["exclusions"],
+            "thesaurus_sha256": run.word_lists.digests["thesaurus"],
         },
         "summary": {
-            "documents": len(result.documents),
-            "contexts": len(result.contexts),
-            "units": len(result.units),
-            "lexicon_terms": len(result.lexicon),
+            "documents": len(run.documents),
+            "contexts": len(run.contexts),
+            "units": len(run.units),
+            "lexicon_terms": len(run.lexicon),
             "retained_before_exclusions": provenance.get("retained_before_exclusions"),
-            "retained_terms": len(result.network.terms),
-            "edges": len(result.network.edges),
-            "clusters": result.clustering.n_clusters,
-            "clustering_quality": result.clustering.quality,
-            "layout_objective": result.map_layout.objective,
-            "layout_converged": result.map_layout.converged,
+            "retained_terms": len(run.network.terms),
+            "edges": len(run.network.edges),
+            "clusters": run.clustering.n_clusters,
+            "clustering_quality": run.clustering.quality,
+            "layout_objective": run.map_layout.objective,
+            "layout_converged": run.map_layout.converged,
         },
         "outputs": sorted(outputs),
     }
 
 
-def _corpus_stats(result: NetworkResult) -> dict:
-    docs = result.documents
-    return dataset_stats(docs.filter_tag("cited"), docs.filter_tag("citing"), result.contexts).to_dict()
+def _corpus_stats(run: Run) -> dict:
+    docs = run.documents
+    return dataset_stats(docs.filter_tag("cited"), docs.filter_tag("citing"), run.contexts).to_dict()
 
 
-# Output name -> writer(result, path), in the order a full run writes them;
-# the manifest comes last. The network writers need only a NetworkResult.
-WRITERS: dict[str, Callable[[PipelineResult, Path], object]] = {
-    "map.tsv": lambda r, p: export_map(r.map_layout, r.network, r.clustering, p),
-    "network.tsv": lambda r, p: export_network(r.network, p),
-    "network_terms.tsv": lambda r, p: export_terms(r.network, p),
-    "graph.json": lambda r, p: export_graph_json(r.network, r.similarity, r.map_layout, r.clustering, p),
-    "map.svg": lambda r, p: render_svg(r.map_layout, r.network, r.clustering, p,
-                                       sim=r.similarity, node_scale=r.config.svg_node_scale),
-    "corpus_stats.json": lambda r, p: write_json(p, _corpus_stats(r)),
-    "manifest.json": lambda r, p: write_json(p, build_manifest(r, OUTPUT_NAMES)),
+# Output name -> factory(run) -> writer(path). A factory reads the stages its
+# file needs, so calling it computes them; it looks the exporter up when it
+# runs, so a patched module attribute is the one called.
+WRITERS: dict[str, Callable[[Run], Callable[[Path], object]]] = {
+    "lexicon.tsv": lambda r: partial(write_lines, rows=[f"{entry.term}\t{entry.occurrence_count}"
+                                                        for entry in r.lexicon]),
+    "clusters.tsv": lambda r: partial(write_lines, rows=[f"{i + 1}\t{node.term}\t{label}" for i, (node, label)
+                                                         in enumerate(zip(r.network.terms, r.clustering.assignment))]),
+    "map.tsv": lambda r: partial(export_map, r.map_layout, r.network, r.clustering),
+    "network.tsv": lambda r: partial(export_network, r.network),
+    "network_terms.tsv": lambda r: partial(export_terms, r.network),
+    "graph.json": lambda r: partial(export_graph_json, r.network, r.similarity, r.map_layout, r.clustering),
+    "map.svg": lambda r: partial(render_svg, r.map_layout, r.network, r.clustering,
+                                 sim=r.similarity, node_scale=r.config.svg_node_scale),
+    "corpus_stats.json": lambda r: partial(write_json, payload=_corpus_stats(r)),
+    "manifest.json": lambda r: partial(write_json, payload=build_manifest(r, OUTPUT_NAMES)),
 }
-OUTPUT_NAMES = tuple(WRITERS)
+# a full run's outputs, in the order they are written; the manifest comes last
+OUTPUT_NAMES = ("map.tsv", "network.tsv", "network_terms.tsv", "graph.json", "map.svg",
+                "corpus_stats.json", "manifest.json")
 
 
 def write_files(out_dir: str | Path, writers: dict[str, Callable[[Path], object]]) -> dict[str, Path]:
@@ -345,9 +331,11 @@ def write_files(out_dir: str | Path, writers: dict[str, Callable[[Path], object]
     return paths
 
 
-def write_outputs(result: NetworkResult, names: Iterable[str]) -> dict[str, Path]:
-    """Commit the named ``WRITERS`` outputs of ``result`` into its ``out_dir`` (see write_files)."""
-    return write_files(result.config.out_dir, {name: partial(WRITERS[name], result) for name in names})
+def write_outputs(run: Run, names: Iterable[str]) -> dict[str, Path]:
+    """Commit the named ``WRITERS`` outputs of ``run`` into its ``out_dir`` (see write_files).
+    The writers are made first, so a failing stage keeps its name and writes nothing."""
+    writers = {name: WRITERS[name](run) for name in names}
+    return write_files(run.config.out_dir, writers)
 
 
 def run_pipeline(config: PipelineConfig) -> dict[str, Path]:

@@ -233,19 +233,25 @@ class HttpProvider(GraphProvider):
             raise ResponseError(f"no entity array at {self.spec.entities_path!r}: {json.dumps(payload)[:200]!r}")
         return entities
 
-    def _parse_document(self, entity: dict, set_tag: str) -> Document:
+    def _entity_id(self, entity: dict) -> str:
         doc_id = _dig(entity, self.spec.id_field)
-        if doc_id is None:
-            raise ResponseError(f"entity without id field {self.spec.id_field!r}: {json.dumps(entity)[:200]!r}")
-        year = _dig(entity, self.spec.year_field)
+        if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)) or doc_id == "":
+            raise ResponseError(f"entity id at {self.spec.id_field!r} must be a str or int: "
+                                f"{json.dumps(entity)[:200]!r}")
+        return str(doc_id)
+
+    def _parse_document(self, entity: dict, set_tag: str) -> Document:
+        doc_id = self._entity_id(entity)
+        title = _dig(entity, self.spec.title_field)
         try:
+            # values pass through unchanged, so Document's type checks see what the provider sent
             return Document(
-                id=str(doc_id),
-                title=str(_dig(entity, self.spec.title_field) or ""),
+                id=doc_id,
+                title="" if title is None else title,
                 set_tag=set_tag,
                 doi=_dig(entity, self.spec.doi_field),
                 abstract=_dig(entity, self.spec.abstract_field),
-                year=int(year) if year is not None else None,
+                year=_dig(entity, self.spec.year_field),
             )
         except (ValueError, TypeError) as exc:
             raise ResponseError(f"unusable entity: {exc}: {json.dumps(entity)[:200]!r}") from exc
@@ -267,15 +273,13 @@ class HttpProvider(GraphProvider):
             while True:
                 entities = self._entities(expr, page_size, page_offset)
                 for entity in entities:
-                    citing_id = str(_dig(entity, self.spec.id_field))
+                    citing_id = self._entity_id(entity)
                     raw = _dig(entity, self.spec.contexts_field)
-                    if isinstance(raw, dict):
-                        snippets = raw.get(str(cited_id), [])
-                    elif isinstance(raw, list):
-                        snippets = raw
-                    else:
-                        snippets = []
-                    pairs.extend((citing_id, str(s)) for s in snippets)
+                    snippets = raw.get(str(cited_id), []) if isinstance(raw, dict) else [] if raw is None else raw
+                    if not isinstance(snippets, list) or not all(isinstance(s, str) for s in snippets):
+                        raise ResponseError(f"snippets at {self.spec.contexts_field!r} must be a list of strings: "
+                                            f"{json.dumps(entity)[:200]!r}")
+                    pairs.extend((citing_id, s) for s in snippets)
                 if len(entities) < page_size:
                     break
                 page_offset += page_size

@@ -236,14 +236,41 @@ class TestCli:
 
     def test_extract_and_build_stop_before_clustering(self, demo_corpus, tmp_path, monkeypatch):
         def must_not_run(*args, **kwargs):
-            raise AssertionError("stage ran past the network")
+            raise AssertionError("stage ran past the files it writes")
 
-        monkeypatch.setattr(pipeline_module, "cluster", must_not_run)
-        monkeypatch.setattr(pipeline_module, "layout", must_not_run)
+        count_cooccurrences = pipeline_module.count_cooccurrences
+        for name in ("cluster", "layout", "association_strength", "count_cooccurrences"):
+            monkeypatch.setattr(pipeline_module, name, must_not_run)
         out = tmp_path / "out"
         assert main(["extract", "--corpus", str(demo_corpus), "--out", str(out)]) == 0
+        monkeypatch.setattr(pipeline_module, "count_cooccurrences", count_cooccurrences)
         assert main(["build", "--corpus", str(demo_corpus), "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["lexicon.tsv", "network.tsv", "network_terms.tsv"]
+
+    def test_extract_stops_at_the_lexicon(self, demo_corpus, tmp_path):
+        # a relevance cut of 1% keeps no term, which only the stages after the lexicon read
+        out = tmp_path / "out"
+        assert main(["extract", "--corpus", str(demo_corpus), "--relevance-fraction", "0.01", "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["lexicon.tsv"]
+
+    @pytest.mark.parametrize("command, corpus_name, settings, stage", [
+        ("cluster", "demo", ["--min-occurrences", "10000"], "lexicon"),
+        ("build", "no_edge", ["--min-occurrences", "1"], "relevance"),
+    ])
+    def test_failing_stage_keeps_its_name(self, command, corpus_name, settings, stage, tmp_path, capsys):
+        if corpus_name == "no_edge":
+            # the relevance cut keeps copyright, alpha and beta, and excludes copyright: no edge is left
+            corpus = tmp_path / "no_edge.jsonl"
+            corpus.write_text("".join(
+                json.dumps({"kind": "document", "id": f"C{i}", "title": f"Copyright and {word}",
+                            "set_tag": "cited", "doi": None, "abstract": None, "year": None}) + "\n"
+                for i, word in enumerate(("alpha", "beta", "gamma", "delta"))), encoding="utf-8")
+        else:
+            corpus = builtin_corpus_path(corpus_name)
+        out = tmp_path / "out"
+        assert main([command, "--corpus", str(corpus), *settings, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: stage '{stage}' failed: ")
+        assert not out.exists()
 
     def test_cluster_stops_before_layout(self, demo_corpus, tmp_path, monkeypatch):
         def must_not_run(*args, **kwargs):

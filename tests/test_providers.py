@@ -253,13 +253,40 @@ class TestHttpProvider:
         with pytest.raises(ResponseError, match="oops"):
             HttpProvider(SPEC, session=session).publications_page("q", 5, 0)
 
-    @pytest.mark.parametrize("meta", [{"summary": 5}, {"doi": 10.1}])
+    @pytest.mark.parametrize("meta", [{"summary": 5}, {"doi": 10.1}, {"name": {"en": "Title one"}}, {"name": 0},
+                                      {"year": 2001.9}, {"year": True}, {"year": "2001"}])
     def test_field_of_wrong_type_is_response_error(self, meta):
+        field = {"summary": "abstract", "doi": "doi", "name": "title", "year": "year"}[next(iter(meta))]
         bad = entity("e1", "Title one")
         bad["meta"].update(meta)
         session = FakeSession([FakeResponse({"payload": {"entities": [bad]}})])
-        with pytest.raises(ResponseError, match="unusable entity: (abstract|doi) must be"):
+        with pytest.raises(ResponseError, match=f"unusable entity: {field} must be"):
             HttpProvider(SPEC, session=session).publications_page("q", 5, 0)
+
+    def test_missing_title_is_empty_and_int_id_is_str(self):
+        untitled = entity(7, None)
+        session = FakeSession([FakeResponse({"payload": {"entities": [untitled]}})])
+        page = HttpProvider(SPEC, session=session).publications_page("q", 5, 0)
+        assert page == [Document(id="7", title="", set_tag="cited", year=2001)]
+
+    @pytest.mark.parametrize("ref", [None, "", True, 1.5, {"id": "e1"}], ids=repr)
+    @pytest.mark.parametrize("page", ["publications_page", "contexts_page"])
+    def test_unusable_id_is_response_error(self, ref, page):
+        bad = entity(ref, "Title one", cited_with={"c9": ["a snippet"]})
+        session = FakeSession([FakeResponse({"payload": {"entities": [bad]}})])
+        with pytest.raises(ResponseError, match="id at 'ref'"):
+            getattr(HttpProvider(SPEC, session=session), page)("c9", 5, 0)
+
+    @pytest.mark.parametrize("snippets", [{"c9": ["a snippet", 7]}, {"c9": "a snippet"}, ["a snippet", None], 5],
+                             ids=repr)
+    def test_snippets_not_a_list_of_strings_is_response_error(self, snippets):
+        session = FakeSession([FakeResponse({"payload": {"entities": [entity("r1", "Citer", cited_with=snippets)]}})])
+        with pytest.raises(ResponseError, match="must be a list of strings"):
+            HttpProvider(SPEC, session=session).contexts_page("c9", 5, 0)
+
+    def test_contexts_take_int_id_and_plain_snippet_list(self):
+        session = FakeSession([FakeResponse({"payload": {"entities": [entity(7, "Citer", cited_with=["a", "b"])]}})])
+        assert HttpProvider(SPEC, session=session).contexts_page("c9", 5, 0) == [("7", "a"), ("7", "b")]
 
     def test_missing_entities_array(self):
         session = FakeSession([FakeResponse({"payload": {"entities": {"not": "a list"}}})])
