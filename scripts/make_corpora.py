@@ -102,7 +102,7 @@ def _abstract(rng: random.Random, pool: list[str], n_sentences: int, terms_per_s
 
 def make_demo() -> Path:
     rng = random.Random(20170607)
-    docs = DocumentSet(label="demo")
+    docs = DocumentSet()
     n_cited, n_citing = 18, 22
     # skew the pool so roughly half the terms clear the default threshold of 4
     weighted_pool = TOPIC_TERMS[:10] * 3 + TOPIC_TERMS[10:]
@@ -148,7 +148,7 @@ def make_planted() -> Path:
     n_shared = round(PLANTED_SHARED_FRACTION * len(PLANTED_FRESH_TERMS) / (1 - PLANTED_SHARED_FRACTION))
     shared = TOPIC_TERMS[:n_shared]
     citing_pool = shared + PLANTED_FRESH_TERMS  # 30% shared, 70% fresh
-    docs = DocumentSet(label="planted")
+    docs = DocumentSet()
     n_cited, n_citing = 30, 40
     for k in range(1, n_cited + 1):
         docs.add(Document(

@@ -49,10 +49,9 @@ from .exports import (
     read_network_file,
     render_svg,
 )
-from .layout import MapLayout, layout, layout_objective
+from .layout import MapLayout, layout_objective
 from .network import (
     CoocNetwork,
-    RelevanceScores,
     SimilarityMatrix,
     TermNode,
     association_strength,
@@ -72,7 +71,6 @@ from .terms import (
     CITATION_CONTEXT,
     TITLE_ABSTRACT,
     Lexicon,
-    TermCandidate,
     TextUnit,
     build_lexicon,
     extract_candidates,

@@ -38,6 +38,7 @@ from .errors import (
     StageError,
 )
 from .exports import write_json
+from .network import top_count
 from .pipeline import PipelineConfig, Run, compare_networks, run_pipeline, write_files, write_outputs
 
 
@@ -112,7 +113,7 @@ STAGED = {
     "extract": ("build the thresholded lexicon", ("lexicon.tsv",), lambda r, paths: (
         f"{len(r.lexicon)} terms with {r.config.min_occurrences}+ occurrences -> {paths['lexicon.tsv']}")),
     "build": ("build the co-occurrence network files", ("network.tsv", "network_terms.tsv"), lambda r, paths: (
-        f"{len(r.network.terms)} terms ({r.network.provenance.get('retained_before_exclusions')} before exclusions), "
+        f"{len(r.network.terms)} terms ({top_count(r.config.relevance_fraction, len(r.lexicon))} before exclusions), "
         f"{len(r.network.edges)} edges -> {paths['network.tsv']}")),
     "cluster": ("cluster the network terms", ("clusters.tsv",), lambda r, paths: (
         f"{r.clustering.n_clusters} clusters at resolution {r.config.resolution} "

@@ -23,6 +23,7 @@ this process. The result is the same bit for bit for any CPU count.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import random
@@ -45,8 +46,6 @@ class Clustering:
     """Cluster ids are contiguous and 1-based; one entry per term."""
 
     assignment: tuple[int, ...]
-    resolution: float
-    seed: int
     quality: float
 
     @property
@@ -344,8 +343,8 @@ def cluster(sim: SimilarityMatrix, resolution: float = 1.0, seed: int = 42, rest
     n = len(sim.terms)
     if n == 0:
         raise ValueError("cannot cluster an empty similarity matrix")
-    if resolution <= 0:
-        raise ConfigError(f"resolution must be > 0, got {resolution}")
+    if not 0 < resolution < math.inf:  # also refuses nan, at which no restart's quality would win
+        raise ConfigError(f"resolution must be finite and > 0, got {resolution}")
     if restarts < 1:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
     adj: _Rows = [[] for _ in range(n)]
@@ -369,4 +368,4 @@ def cluster(sim: SimilarityMatrix, resolution: float = 1.0, seed: int = 42, rest
         if current > best_quality:
             best_labels, best_quality = labels, current
     assert best_labels is not None
-    return Clustering(_canonical(best_labels), resolution, seed, best_quality)
+    return Clustering(_canonical(best_labels), best_quality)

@@ -25,8 +25,6 @@ class FrequencyTable:
     """Top terms of one cluster, descending by count then ascending by term."""
 
     rows: tuple[tuple[str, int], ...]
-    source_label: str
-    cluster_id: int
 
 
 @dataclass(frozen=True)
@@ -45,8 +43,7 @@ class ComparisonReport:
         }
 
 
-def frequency_table(net: CoocNetwork, clustering: Clustering, cluster_id: int, k: int,
-                    source_label: str = "") -> FrequencyTable:
+def frequency_table(net: CoocNetwork, clustering: Clustering, cluster_id: int, k: int) -> FrequencyTable:
     """The k most frequent terms of one cluster."""
     if len(clustering.assignment) != len(net.terms):
         raise ConsistencyError(f"{len(clustering.assignment)} assignments for {len(net.terms)} terms")
@@ -57,7 +54,7 @@ def frequency_table(net: CoocNetwork, clustering: Clustering, cluster_id: int, k
         ((net.terms[i].term, net.terms[i].occurrences) for i in members),
         key=lambda row: (-row[1], row[0]),
     )
-    return FrequencyTable(tuple(ranked[:max(k, 0)]), source_label, cluster_id)
+    return FrequencyTable(tuple(ranked[:max(k, 0)]))
 
 
 def term_set_similarity(a: CoocNetwork, b: CoocNetwork) -> float:

@@ -111,8 +111,7 @@ class CitationContext:
 class DocumentSet:
     """Ordered, duplicate-free collection of documents (insertion order kept)."""
 
-    def __init__(self, documents: Iterable[Document] = (), label: str = ""):
-        self.label = label
+    def __init__(self, documents: Iterable[Document] = ()):
         self._docs: dict[str, Document] = {}
         for doc in documents:
             if not self.add(doc):
@@ -132,7 +131,7 @@ class DocumentSet:
         return tuple(self._docs)
 
     def filter_tag(self, set_tag: str) -> "DocumentSet":
-        return DocumentSet((d for d in self if d.set_tag == set_tag), label=set_tag)
+        return DocumentSet(d for d in self if d.set_tag == set_tag)
 
     def __iter__(self) -> Iterator[Document]:
         return iter(self._docs.values())
@@ -146,10 +145,10 @@ class DocumentSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DocumentSet):
             return NotImplemented
-        return list(self) == list(other) and self.label == other.label
+        return list(self) == list(other)
 
     def __repr__(self) -> str:
-        return f"DocumentSet(label={self.label!r}, n={len(self)})"
+        return f"DocumentSet(n={len(self)})"
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,7 @@ def load_corpus(path: str | Path) -> tuple[DocumentSet, list[CitationContext]]:
     A malformed line raises ParseError naming the line number.
     """
     path = Path(path)
-    docs = DocumentSet(label=path.stem)
+    docs = DocumentSet()
     contexts: list[CitationContext] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -1,8 +1,10 @@
-"""Exception and warning types shared across the toolkit.
+"""Exception and warning types shared across the toolkit, and the check of settings files.
 
 The CLI maps these onto exit codes: ConfigError -> 2, ParseError and
 ConsistencyError -> 3, ProviderError (and subclasses) -> 4.
 """
+
+from types import NoneType
 
 
 class CitemapError(Exception):
@@ -44,3 +46,15 @@ class StageError(CitemapError):
 
 class CitemapWarning(UserWarning):
     """Non-fatal data quality issue (duplicates, dangling links, isolates)."""
+
+
+def check_settings(cls: type, mapping: dict, what: str) -> None:
+    """ConfigError unless each key of ``mapping`` is a field of dataclass ``cls`` and its value fits the annotation."""
+    unknown = set(mapping) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
+    for name, value in mapping.items():
+        kind = cls.__dataclass_fields__[name].type  # "int", "float", "str" or "str | None"
+        accepted = {"int": int, "float": (int, float), "str": str, "str | None": (str, NoneType)}[kind]
+        if isinstance(value, bool) or not isinstance(value, accepted):  # bool subclasses int
+            raise ConfigError(f"{name} must be {kind}, got {value!r}")

@@ -126,7 +126,7 @@ def export_terms(net: CoocNetwork, path: str | Path) -> Path:
     return write_lines(path, [f"{i + 1}\t{node.term}\t{node.occurrences}" for i, node in enumerate(net.terms)])
 
 
-def read_network_file(path: str | Path, terms_path: str | Path, counting_mode: str = "binary") -> CoocNetwork:
+def read_network_file(path: str | Path, terms_path: str | Path) -> CoocNetwork:
     terms: list[TermNode] = []
     terms_path = Path(terms_path)
     for lineno, line in enumerate(terms_path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -155,7 +155,7 @@ def read_network_file(path: str | Path, terms_path: str | Path, counting_mode: s
         if (i - 1, j - 1) in edges:
             raise ParseError(f"{path}:{lineno}: repeated index pair ({i}, {j})")
         edges[(i - 1, j - 1)] = count
-    return CoocNetwork(tuple(terms), edges, counting_mode, {"imported_from": str(path)})
+    return CoocNetwork(tuple(terms), edges)
 
 
 def export_graph_json(net: CoocNetwork, sim: SimilarityMatrix, layout: MapLayout,

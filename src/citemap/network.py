@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -36,8 +36,6 @@ class CoocNetwork:
 
     terms: tuple[TermNode, ...]
     edges: dict[tuple[int, int], int]
-    counting_mode: str
-    provenance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.terms)
@@ -69,7 +67,7 @@ class CoocNetwork:
             for (i, j), c in sorted(self.edges.items())
             if i in remap and j in remap
         }
-        return CoocNetwork(terms, edges, self.counting_mode, dict(self.provenance))
+        return CoocNetwork(terms, edges)
 
 
 @dataclass(frozen=True)
@@ -78,13 +76,6 @@ class SimilarityMatrix:
 
     terms: tuple[str, ...]
     strengths: dict[tuple[int, int], float]
-    node_strengths: tuple[int, ...]
-    total: int  # T = half the sum of node strengths = sum of edge counts
-
-
-@dataclass(frozen=True)
-class RelevanceScores:
-    values: tuple[float, ...]
 
 
 def count_cooccurrences(units: Sequence[TextUnit], lexicon: Lexicon, counting: str = BINARY) -> CoocNetwork:
@@ -96,32 +87,25 @@ def count_cooccurrences(units: Sequence[TextUnit], lexicon: Lexicon, counting: s
     """
     if counting not in (BINARY, FULL):
         raise ConfigError(f"counting must be '{BINARY}' or '{FULL}', got {counting!r}")
-    unit_ids = [u.unit_id for u in units]
-    known_units = set(unit_ids)
+    unit_order = [u.unit_id for u in units]
+    known_ids = set(unit_order)
     terms = tuple(TermNode(e.term, e.occurrence_count) for e in lexicon)
     unit_terms: dict[str, list[tuple[int, int]]] = {}
     for index, entry in enumerate(lexicon):
         if not entry.unit_counts:
             raise ConsistencyError(f"term {entry.term!r} is in the lexicon but matched no unit")
-        stray = sorted(set(entry.unit_counts) - known_units)
+        stray = sorted(set(entry.unit_counts) - known_ids)
         if stray:
             raise ConsistencyError(f"term {entry.term!r} counts unknown unit(s) {stray}")
         for unit_id, times in entry.unit_counts.items():
             unit_terms.setdefault(unit_id, []).append((index, times))
     edges: dict[tuple[int, int], int] = {}
-    for unit_id in unit_ids:
+    for unit_id in unit_order:
         present = sorted(unit_terms.get(unit_id, ()))
         for (i, times_i), (j, times_j) in combinations(present, 2):
             weight = 1 if counting == BINARY else min(times_i, times_j)
             edges[(i, j)] = edges.get((i, j), 0) + weight
-    source = {u.source for u in units}
-    provenance = {
-        "source": source.pop() if len(source) == 1 else "mixed",
-        "n_units": len(units),
-        "counting": counting,
-        "min_occurrences": lexicon.min_occurrences,
-    }
-    return CoocNetwork(terms, dict(sorted(edges.items())), counting, provenance)
+    return CoocNetwork(terms, dict(sorted(edges.items())))
 
 
 def association_strength(net: CoocNetwork) -> SimilarityMatrix:
@@ -147,8 +131,6 @@ def association_strength(net: CoocNetwork) -> SimilarityMatrix:
     return SimilarityMatrix(
         terms=tuple(net.terms[i].term for i in keep),
         strengths=strengths,
-        node_strengths=tuple(w[i] for i in keep),
-        total=total,
     )
 
 
@@ -157,7 +139,7 @@ def profile_divergence(profile: dict[int, float], background: dict[int, float]) 
     return sum(p * math.log(p / background[j]) for j, p in sorted(profile.items()) if p > 0)
 
 
-def relevance_scores(net: CoocNetwork) -> RelevanceScores:
+def relevance_scores(net: CoocNetwork) -> tuple[float, ...]:
     """Divergence of each term's co-occurrence profile from the background.
 
     With p_i(j) = c_ij / w_i and q(j) = w_j / (2T), the score is
@@ -181,43 +163,38 @@ def relevance_scores(net: CoocNetwork) -> RelevanceScores:
         profile = {j: c / w[i] for j, c in neighbors[i].items()}
         # mathematically >= 0; the floor only absorbs float round-off
         values.append(max(0.0, profile_divergence(profile, background)))
-    return RelevanceScores(tuple(values))
+    return tuple(values)
+
+
+def top_count(fraction: float, n: int) -> int:
+    """floor(fraction * n) as an exact rational: 0.6 of 15 terms is 9, not floor(8.999...)."""
+    return int(Fraction(str(fraction)) * n)
 
 
 def select_top_terms(
     net: CoocNetwork,
-    scores: RelevanceScores,
+    scores: Sequence[float],
     fraction: float,
     exclusions: Iterable[str] = (),
 ) -> CoocNetwork:
-    """Keep the floor(fraction * n) most relevant terms, then drop exclusions.
+    """Keep the ``top_count(fraction, n)`` most relevant terms, then drop exclusions.
 
     Ties break toward higher occurrence count, then lexicographically
-    ascending. Edges are restricted to the retained terms; the provenance
-    records the retained counts before and after exclusions.
+    ascending. Edges are restricted to the retained terms.
     """
     if not 0 < fraction <= 1:
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
     n = len(net.terms)
-    if len(scores.values) != n:
-        raise ConsistencyError(f"{len(scores.values)} scores for {n} terms")
-    # exact rational floor: 0.6 of 15 terms is 9, not floor(8.999...)
-    k = int(Fraction(str(fraction)) * n)
+    if len(scores) != n:
+        raise ConsistencyError(f"{len(scores)} scores for {n} terms")
+    k = top_count(fraction, n)
     if k == 0:
         raise ValueError("fraction too small for lexicon")
     order = sorted(
         range(n),
-        key=lambda i: (-scores.values[i], -net.terms[i].occurrences, net.terms[i].term),
+        key=lambda i: (-scores[i], -net.terms[i].occurrences, net.terms[i].term),
     )
     retained = sorted(order[:k])
     exclusion_set = frozenset(exclusions)
     final = [i for i in retained if net.terms[i].term not in exclusion_set]
-    sub = net.subnetwork(final)
-    sub.provenance.update(
-        {
-            "relevance_fraction": fraction,
-            "retained_before_exclusions": k,
-            "retained_after_exclusions": len(final),
-        }
-    )
-    return sub
+    return net.subnetwork(final)

@@ -15,19 +15,19 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property, partial
 from importlib import resources
 from pathlib import Path
-from types import NoneType
 from typing import Callable, Iterable
 
 from . import __version__
 from .clustering import Clustering, cluster
 from .compare import ComparisonReport, triplet_report
 from .corpus import dataset_stats, load_corpus
-from .errors import CitemapError, ConfigError, StageError
+from .errors import CitemapError, ConfigError, StageError, check_settings
 from .exports import export_graph_json, export_map, export_network, export_terms, render_svg, write_json, write_lines
 from .layout import MapLayout, layout
 from .network import (
@@ -37,6 +37,7 @@ from .network import (
     count_cooccurrences,
     relevance_scores,
     select_top_terms,
+    top_count,
 )
 from .terms import (
     CITATION_CONTEXT,
@@ -51,6 +52,8 @@ from .terms import (
 
 MODES = ("title-abstract", "citation-context")
 DOC_SETS = ("cited", "citing", "both")
+# setting -> the least value it may take
+MINIMA = {"min_occurrences": 1, "restarts": 1, "seed": 0, "svg_node_scale": 0, "layout_max_iter": 1, "layout_tol": 0}
 
 
 @dataclass
@@ -75,34 +78,29 @@ class PipelineConfig:
     layout_tol: float = 1e-8
 
     def validate(self) -> None:
+        for name, spec in self.__dataclass_fields__.items():
+            # nan fails the comparison, and so does an int too large for a float
+            if spec.type == "float" and not abs(getattr(self, name)) <= sys.float_info.max:
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.doc_set not in DOC_SETS:
             raise ConfigError(f"doc_set must be one of {DOC_SETS}, got {self.doc_set!r}")
-        if self.min_occurrences < 1:
-            raise ConfigError(f"min_occurrences must be >= 1, got {self.min_occurrences}")
         if self.counting not in ("binary", "full"):
             raise ConfigError(f"counting must be 'binary' or 'full', got {self.counting!r}")
         if not 0 < self.relevance_fraction <= 1:
             raise ConfigError(f"relevance_fraction must be in (0, 1], got {self.relevance_fraction}")
         if self.resolution <= 0:
             raise ConfigError(f"resolution must be > 0, got {self.resolution}")
-        if self.restarts < 1:
-            raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
+        for name, minimum in MINIMA.items():
+            if getattr(self, name) < minimum:
+                raise ConfigError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "PipelineConfig":
         if "parameters" in mapping and isinstance(mapping["parameters"], dict):
             mapping = mapping["parameters"]  # accept a manifest as config
-        known = set(cls.__dataclass_fields__)
-        unknown = set(mapping) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for name, value in mapping.items():
-            kind = cls.__dataclass_fields__[name].type  # "int", "float", "str" or "str | None"
-            accepted = {"int": int, "float": (int, float), "str": str, "str | None": (str, NoneType)}[kind]
-            if isinstance(value, bool) or not isinstance(value, accepted):  # bool subclasses int
-                raise ConfigError(f"{name} must be {kind}, got {value!r}")
+        check_settings(cls, mapping, "config keys")
         config = cls(**mapping)
         config.validate()
         return config
@@ -250,7 +248,6 @@ def analyze(config: PipelineConfig) -> Run:
 
 def build_manifest(run: Run, outputs: Iterable[str]) -> dict:
     config = run.config
-    provenance = run.network.provenance
     return {
         "artifact": {"name": "citemap", "version": __version__},
         "parameters": asdict(config),
@@ -265,7 +262,7 @@ def build_manifest(run: Run, outputs: Iterable[str]) -> dict:
             "contexts": len(run.contexts),
             "units": len(run.units),
             "lexicon_terms": len(run.lexicon),
-            "retained_before_exclusions": provenance.get("retained_before_exclusions"),
+            "retained_before_exclusions": top_count(config.relevance_fraction, len(run.lexicon)),
             "retained_terms": len(run.network.terms),
             "edges": len(run.network.edges),
             "clusters": run.clustering.n_clusters,

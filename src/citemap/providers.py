@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import requests
 
 from .corpus import CitationContext, Document, DocumentSet, load_corpus
-from .errors import CitemapWarning, ConfigError, ResponseError, TransportError
+from .errors import CitemapWarning, ConfigError, ResponseError, TransportError, check_settings
 
 RETRY_ATTEMPTS = 3
 RETRY_BASE_DELAY = 1.0  # seconds; doubles per attempt
@@ -73,7 +73,7 @@ def fetch_publications(
     """
     if page_size < 1:
         raise ConfigError(f"page_size must be >= 1, got {page_size}")
-    result = DocumentSet(label=query or "publications")
+    result = DocumentSet()
     offset = 0
     while True:
         page = _with_retries(lambda: provider.publications_page(query, page_size, offset), sleep)
@@ -100,7 +100,7 @@ def fetch_citing_with_contexts(
     """
     if not cited_ids:
         raise ConfigError("cited_ids must be non-empty")
-    citing = DocumentSet(label="citing")
+    citing = DocumentSet()
     contexts: list[CitationContext] = []
     blank_dropped = 0
     for cited_id in cited_ids:
@@ -163,10 +163,9 @@ class ProviderSpec:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ProviderSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(mapping) - known
-        if unknown:
-            raise ConfigError(f"unknown provider settings: {sorted(unknown)}")
+        if not isinstance(mapping, dict):
+            raise ConfigError(f"provider settings must be a JSON object, got {mapping!r}")
+        check_settings(cls, mapping, "provider settings")
         if "base_url" not in mapping:
             raise ConfigError("provider settings must include base_url")
         return cls(**mapping)

@@ -110,14 +110,6 @@ def segment(text: str) -> list[list[str]]:
     return sentences
 
 
-@dataclass(frozen=True)
-class TermCandidate:
-    """One candidate term: a suffix sub-run of a content-token run."""
-
-    normalized: str
-    token_count: int
-
-
 def _fate(token: str, stopset: frozenset[str] | set[str], vocabulary: frozenset[str] | set[str] | None) -> str | None:
     """None for a run-breaker (a stopword, or a token with no letter), else the normalized token."""
     if token in stopset or not any(ch.isalpha() for ch in token):
@@ -159,7 +151,7 @@ def extract_candidates(
     sentence: Sequence[str],
     stoplist: Iterable[str],
     singular_vocabulary: frozenset[str] | set[str] | None = None,
-) -> list[TermCandidate]:
+) -> list[str]:
     """Candidates of one sentence: maximal content runs plus their suffixes.
 
     Stoplist words and numeric tokens break runs. When a corpus-wide token
@@ -169,9 +161,9 @@ def extract_candidates(
     stopset = stoplist if isinstance(stoplist, (set, frozenset)) else frozenset(stoplist)
     fate = {token: _fate(token, stopset, singular_vocabulary) for token in sentence}
     return [
-        TermCandidate(term, len(run) - start)
+        term
         for run in _content_runs(sentence, fate)
-        for start, term in enumerate(_suffixes(run))
+        for term in _suffixes(run)
     ]
 
 
@@ -180,7 +172,6 @@ class TextUnit:
     """One unit of analysis: a title+abstract or one citation context."""
 
     unit_id: str
-    source: str
     text: str
 
 
@@ -197,13 +188,13 @@ def make_units(source: DocumentSet | Iterable[CitationContext], mode: str) -> li
             if not isinstance(doc, Document):
                 raise ConsistencyError(f"title_abstract mode needs documents, got {type(doc).__name__}")
             text = f"{doc.title} {doc.abstract}" if doc.abstract else doc.title
-            units.append(TextUnit(doc.id, mode, text))
+            units.append(TextUnit(doc.id, text))
     elif mode == CITATION_CONTEXT:
         for ctx in source:
             if not isinstance(ctx, CitationContext):
                 raise ConsistencyError(f"citation_context mode needs contexts, got {type(ctx).__name__}")
             unit_id = f"{ctx.citing_id}::{ctx.cited_id}::{ctx.ordinal}"
-            units.append(TextUnit(unit_id, mode, ctx.text))
+            units.append(TextUnit(unit_id, ctx.text))
     else:
         raise ConfigError(f"unknown unit mode {mode!r}")
     seen: set[str] = set()
@@ -223,19 +214,12 @@ class LexiconEntry:
     def occurrence_count(self) -> int:
         return len(self.unit_counts)
 
-    @property
-    def unit_ids(self) -> frozenset[str]:
-        return frozenset(self.unit_counts)
-
 
 @dataclass(frozen=True)
 class Lexicon:
     """Retained terms with per-unit occurrence data, sorted by term."""
 
     terms: dict[str, LexiconEntry]
-    min_occurrences: int
-    n_units: int
-    applied_merges: int
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -288,11 +272,11 @@ def build_lexicon(
     # the conservative plural merge, keeping the result order-invariant.
     segmented: list[tuple[str, list[list[str]]]] = []
     vocabulary: set[str] = set()
-    seen_units: set[str] = set()
+    seen_ids: set[str] = set()
     for unit in units:
-        if unit.unit_id in seen_units:
+        if unit.unit_id in seen_ids:
             raise ConsistencyError(f"duplicate unit id {unit.unit_id!r}")
-        seen_units.add(unit.unit_id)
+        seen_ids.add(unit.unit_id)
         sentences = segment(strip_citation_authors(unit.text))
         segmented.append((unit.unit_id, sentences))
         for sentence in sentences:
@@ -301,7 +285,6 @@ def build_lexicon(
     # each distinct token's fate is worked out once, not once per suffix
     fate = {token: _fate(token, stopset, vocabulary) for token in vocabulary}
     counts: dict[str, dict[str, int]] = {}
-    merged_variants: set[str] = set()
     for unit_id, sentences in segmented:
         candidates: list[str] = []
         for sentence in sentences:
@@ -309,7 +292,6 @@ def build_lexicon(
                 candidates += _suffixes(run)
         for term, times in Counter(candidates).items():
             if term in canon:
-                merged_variants.add(term)
                 term = canon[term]
             if term in stopset:
                 continue
@@ -324,9 +306,6 @@ def build_lexicon(
     }
     return Lexicon(
         terms=entries,
-        min_occurrences=min_occurrences,
-        n_units=len(units),
-        applied_merges=len(merged_variants),
     )
 
 

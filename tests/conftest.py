@@ -28,15 +28,14 @@ def ctx(citing: str, cited: str, text: str = "some snippet", ordinal: int = 1) -
     return CitationContext(citing, cited, text, ordinal)
 
 
-def unit(unit_id: str, text: str, source: str = "title_abstract") -> TextUnit:
-    return TextUnit(unit_id, source, text)
+def unit(unit_id: str, text: str) -> TextUnit:
+    return TextUnit(unit_id, text)
 
 
-def network(term_occurrences: dict[str, int], edges: dict[tuple[int, int], int],
-            counting_mode: str = "binary") -> CoocNetwork:
+def network(term_occurrences: dict[str, int], edges: dict[tuple[int, int], int]) -> CoocNetwork:
     terms = tuple(TermNode(term, occ) for term, occ in term_occurrences.items())
-    return CoocNetwork(terms, dict(edges), counting_mode)
+    return CoocNetwork(terms, dict(edges))
 
 
 def sim(n: int, strengths: dict[tuple[int, int], float]) -> SimilarityMatrix:
-    return SimilarityMatrix(tuple(f"t{k}" for k in range(n)), dict(strengths), tuple([0] * n), 0)
+    return SimilarityMatrix(tuple(f"t{k}" for k in range(n)), dict(strengths))

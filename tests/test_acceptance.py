@@ -22,10 +22,10 @@ from citemap.clustering import Clustering
 from citemap.exports import read_map_file, read_network_file
 from citemap.layout import layout, layout_objective
 from citemap.network import (
-    RelevanceScores,
     association_strength,
     count_cooccurrences,
     select_top_terms,
+    top_count,
 )
 from citemap.pipeline import PipelineConfig, analyze, compare_networks, run_pipeline
 from citemap.terms import Lexicon, LexiconEntry, TextUnit
@@ -81,8 +81,8 @@ def test_criterion_02_counting_oracle():
                 term: LexiconEntry(term, dict(sorted(hits.items())))
                 for term, hits in sorted(incidence.items())
             }
-            lexicon = Lexicon(entries, 1, n_units, 0)
-            units = [TextUnit(uid, "title_abstract", "") for uid in unit_ids]
+            lexicon = Lexicon(entries)
+            units = [TextUnit(uid, "") for uid in unit_ids]
             for mode in ("binary", "full"):
                 net = count_cooccurrences(units, lexicon, mode)
                 terms = [node.term for node in net.terms]
@@ -102,10 +102,10 @@ def test_criterion_03_threshold_selection_arithmetic():
             terms = {f"term{k:04d}": n - k for k in range(n)}
             edges = {(k, k + 1): 1 for k in range(n - 1)}
             net = network(terms, edges)
-            scores = RelevanceScores(tuple(float(n - k) for k in range(n)))
+            scores = tuple(float(n - k) for k in range(n))
             exclusions = {f"term{k:04d}" for k in range(n_excl)}  # all inside the cut
+            assert top_count(0.6, n) == kept == len(select_top_terms(net, scores, 0.6).terms)
             selected = select_top_terms(net, scores, 0.6, exclusions)
-            assert selected.provenance["retained_before_exclusions"] == kept
             assert len(selected.terms) == final
 
 
@@ -279,7 +279,7 @@ def test_criterion_10_frequency_table_format():
     with criterion(10, 1.0, "frequency-table fixture comes out in exact order"):
         counts = {"journal": 17, "impact": 11, "impact factor": 8, "journal impact factor": 6}
         net = network(counts, {(0, 1): 1, (1, 2): 1, (2, 3): 1})
-        clustering = Clustering((1, 1, 1, 1), 1.0, 42, 0.0)
+        clustering = Clustering((1, 1, 1, 1), 0.0)
         table = frequency_table(net, clustering, cluster_id=1, k=4)
         assert table.rows == (
             ("journal", 17),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import signal
@@ -72,7 +73,7 @@ class TestQuality:
 
     def test_accepts_clustering_object(self):
         s = sim(2, {(0, 1): 1.0})
-        clustering = Clustering((1, 1), 0.5, 42, 0.5)
+        clustering = Clustering((1, 1), 0.5)
         assert quality(s, clustering, 0.5) == pytest.approx(0.5)
 
     def test_unassigned_term_rejected(self):
@@ -124,6 +125,11 @@ class TestClusterDegenerate:
             cluster(s, resolution=0.0)
         with pytest.raises(ConfigError):
             cluster(s, resolution=1.0, restarts=0)
+
+    @pytest.mark.parametrize("resolution", [math.inf, math.nan])
+    def test_non_finite_resolution_rejected(self, resolution):
+        with pytest.raises(ConfigError, match="resolution must be finite and > 0"):
+            cluster(sim(6, TWO_CLIQUES), resolution=resolution)
 
     def test_ids_contiguous_from_one(self):
         clustering = cluster(sim(6, TWO_CLIQUES), resolution=0.5, seed=9, restarts=4)

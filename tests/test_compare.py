@@ -20,7 +20,7 @@ from conftest import network
 
 
 def one_cluster(n: int) -> Clustering:
-    return Clustering(tuple([1] * n), 1.0, 42, 0.0)
+    return Clustering(tuple([1] * n), 0.0)
 
 
 CITED_COUNTS = {"journal": 17, "impact": 11, "impact factor": 8, "journal impact factor": 6}
@@ -52,7 +52,7 @@ class TestFrequencyTable:
 
     def test_only_cluster_members_listed(self):
         net = network({"a": 5, "b": 4, "c": 3}, {(0, 1): 1, (1, 2): 1})
-        clustering = Clustering((1, 1, 2), 1.0, 42, 0.0)
+        clustering = Clustering((1, 1, 2), 0.0)
         table = frequency_table(net, clustering, 2, 5)
         assert table.rows == (("c", 3),)
 

@@ -31,7 +31,7 @@ from conftest import network, sim
 def single_term_fixture():
     net = network({"solo": 4}, {})
     lay = MapLayout(((0.0, 0.0),), 0.0, True, 0)
-    clustering = Clustering((1,), 1.0, 42, 0.0)
+    clustering = Clustering((1,), 0.0)
     return net, lay, clustering
 
 
@@ -39,7 +39,7 @@ def pair_fixture():
     net = network({"alpha": 1, "beta": 9}, {(0, 1): 1})
     s = association_strength(net)  # single edge: strength 2.0
     lay = layout(s, seed=42)
-    clustering = Clustering((1, 2), 1.0, 42, 0.0)
+    clustering = Clustering((1, 2), 0.0)
     return net, s, lay, clustering
 
 
@@ -72,7 +72,7 @@ class TestExportMap:
         # 1/32 and 3/32 are exact binary ties at the fourth decimal
         net = network({"a": 1, "b": 1}, {(0, 1): 1})
         lay = MapLayout(((0.03125, 0.09375), (0.5, 0.25)), 0.0, True, 0)
-        clustering = Clustering((1, 1), 1.0, 42, 0.0)
+        clustering = Clustering((1, 1), 0.0)
         path = export_map(lay, net, clustering, tmp_path / "map.tsv")
         row = path.read_text(encoding="utf-8").splitlines()[1].split("\t")
         assert row[2] == "0.0312" and row[3] == "0.0938"
@@ -80,7 +80,7 @@ class TestExportMap:
     def test_rows_ordered_by_id(self, tmp_path):
         net = network({"zz": 1, "aa": 2, "mm": 3}, {(0, 1): 1, (1, 2): 1})
         lay = MapLayout(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), 0.0, True, 0)
-        clustering = Clustering((1, 1, 2), 1.0, 42, 0.0)
+        clustering = Clustering((1, 1, 2), 0.0)
         records = read_map_file(export_map(lay, net, clustering, tmp_path / "map.tsv"))
         assert [r.id for r in records] == [1, 2, 3]
         assert [r.label for r in records] == ["zz", "aa", "mm"]  # network order, not sorted
@@ -88,7 +88,7 @@ class TestExportMap:
     def test_position_count_mismatch_rejected(self, tmp_path):
         net = network({"a": 1, "b": 1}, {(0, 1): 1})
         lay = MapLayout(((0.0, 0.0),), 0.0, True, 0)
-        clustering = Clustering((1, 1), 1.0, 42, 0.0)
+        clustering = Clustering((1, 1), 0.0)
         with pytest.raises(ConsistencyError):
             export_map(lay, net, clustering, tmp_path / "map.tsv")
 
@@ -153,7 +153,7 @@ class TestGraphJson:
     def test_term_mismatch_rejected(self, tmp_path):
         net, _, lay, clustering = pair_fixture()
         other = sim(2, {(0, 1): 1.0})
-        wrong = type(other)(("x", "y"), other.strengths, other.node_strengths, other.total)
+        wrong = type(other)(("x", "y"), other.strengths)
         with pytest.raises(ConsistencyError):
             export_graph_json(net, wrong, lay, clustering, tmp_path / "graph.json")
 
@@ -198,14 +198,14 @@ class TestRenderSvg:
         net = network(counts, edges)
         s = association_strength(net)
         lay = layout(s, seed=1)
-        clustering = Clustering(tuple([1] * 8), 1.0, 42, 0.0)
+        clustering = Clustering(tuple([1] * 8), 0.0)
         svg = render_svg(lay, net, clustering, tmp_path / "m.svg", sim=s).read_text()
         assert svg.count("<line") == 2
 
     def test_labels_escaped(self, tmp_path):
         net = network({"impact & <factor>": 1}, {})
         lay = MapLayout(((0.0, 0.0),), 0.0, True, 0)
-        clustering = Clustering((1,), 1.0, 42, 0.0)
+        clustering = Clustering((1,), 0.0)
         text = render_svg(lay, net, clustering, tmp_path / "m.svg").read_text()
         assert "impact &amp; &lt;factor&gt;" in text
 
@@ -215,7 +215,7 @@ class TestRenderSvg:
         labels = ["a &amp; b", "&lt;&gt;", ">>&<<", "x\"y'z"]
         net = network({label: 1 for label in labels}, {})
         lay = MapLayout(tuple((float(k), 0.0) for k in range(len(labels))), 0.0, True, 0)
-        clustering = Clustering((1,) * len(labels), 1.0, 42, 0.0)
+        clustering = Clustering((1,) * len(labels), 0.0)
         text = render_svg(lay, net, clustering, tmp_path / "m.svg").read_text()
         assert re.findall(r'font-size="11">(.*)</text>', text) == [escape(label) for label in labels]
 

@@ -13,33 +13,33 @@ from hypothesis import strategies as st
 
 from citemap.errors import CitemapWarning, ConfigError, ConsistencyError
 from citemap.network import (
-    RelevanceScores,
     association_strength,
     count_cooccurrences,
     profile_divergence,
     relevance_scores,
     select_top_terms,
+    top_count,
 )
 from citemap.terms import Lexicon, LexiconEntry, TextUnit
 
 from conftest import network
 
 
-def lexicon_from(unit_counts: dict[str, dict[str, int]], n_units: int) -> Lexicon:
+def lexicon_from(unit_counts: dict[str, dict[str, int]]) -> Lexicon:
     entries = {
         term: LexiconEntry(term, dict(sorted(counts.items())))
         for term, counts in sorted(unit_counts.items())
     }
-    return Lexicon(entries, min_occurrences=1, n_units=n_units, applied_merges=0)
+    return Lexicon(entries)
 
 
 def units_named(*unit_ids: str) -> list[TextUnit]:
-    return [TextUnit(uid, "title_abstract", "irrelevant") for uid in unit_ids]
+    return [TextUnit(uid, "irrelevant") for uid in unit_ids]
 
 
 class TestCountCooccurrences:
     def test_single_unit_triangle(self):
-        lexicon = lexicon_from({"a": {"u1": 1}, "b": {"u1": 1}, "c": {"u1": 1}}, 1)
+        lexicon = lexicon_from({"a": {"u1": 1}, "b": {"u1": 1}, "c": {"u1": 1}})
         net = count_cooccurrences(units_named("u1"), lexicon)
         assert net.edges == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
 
@@ -47,33 +47,33 @@ class TestCountCooccurrences:
         lexicon = lexicon_from({
             "a": {"u1": 1, "u2": 1, "u3": 1},
             "b": {"u2": 1, "u3": 1, "u4": 1},
-        }, 4)
+        })
         net = count_cooccurrences(units_named("u1", "u2", "u3", "u4"), lexicon)
         assert net.edges[(0, 1)] == 2  # |{u2, u3}|
 
     def test_binary_mode_caps_within_unit(self):
-        lexicon = lexicon_from({"a": {"u1": 2}, "b": {"u1": 1}}, 1)
+        lexicon = lexicon_from({"a": {"u1": 2}, "b": {"u1": 1}})
         net = count_cooccurrences(units_named("u1"), lexicon, "binary")
         assert net.edges[(0, 1)] == 1
 
     def test_full_mode_takes_min(self):
-        lexicon = lexicon_from({"a": {"u1": 3}, "b": {"u1": 2}}, 1)
+        lexicon = lexicon_from({"a": {"u1": 3}, "b": {"u1": 2}})
         net = count_cooccurrences(units_named("u1"), lexicon, "full")
         assert net.edges[(0, 1)] == 2
 
     def test_unknown_unit_is_consistency_error(self):
-        lexicon = lexicon_from({"a": {"ghost": 1}, "b": {"u1": 1}}, 1)
+        lexicon = lexicon_from({"a": {"ghost": 1}, "b": {"u1": 1}})
         with pytest.raises(ConsistencyError):
             count_cooccurrences(units_named("u1"), lexicon)
 
     def test_unmatched_term_is_consistency_error(self):
-        lexicon = lexicon_from({"a": {}, "b": {"u1": 1}}, 1)
+        lexicon = lexicon_from({"a": {}, "b": {"u1": 1}})
         with pytest.raises(ConsistencyError, match="matched no unit"):
             count_cooccurrences(units_named("u1"), lexicon)
 
     def test_unknown_counting_mode(self):
         with pytest.raises(ConfigError):
-            count_cooccurrences(units_named("u1"), lexicon_from({"a": {"u1": 1}}, 1), "ternary")
+            count_cooccurrences(units_named("u1"), lexicon_from({"a": {"u1": 1}}), "ternary")
 
     def test_binary_bound_holds_on_random_corpora(self):
         rng = random.Random(7)
@@ -88,7 +88,7 @@ class TestCountCooccurrences:
                     unit_counts[f"term{t}"] = hit
             if not unit_counts:
                 continue
-            lexicon = lexicon_from(unit_counts, n_units)
+            lexicon = lexicon_from(unit_counts)
             net = count_cooccurrences(units_named(*unit_ids), lexicon, "binary")
             occ = {node.term: node.occurrences for node in net.terms}
             terms = [node.term for node in net.terms]
@@ -108,7 +108,7 @@ class TestCountCooccurrences:
                     unit_counts[f"term{t:02d}"] = hit
             if len(unit_counts) < 2:
                 continue
-            lexicon = lexicon_from(unit_counts, n_units)
+            lexicon = lexicon_from(unit_counts)
             for mode in ("binary", "full"):
                 net = count_cooccurrences(units_named(*unit_ids), lexicon, mode)
                 terms = [node.term for node in net.terms]
@@ -128,8 +128,6 @@ class TestAssociationStrength:
         sim = association_strength(net)
         # w_i = 2 each, T = 3, s = 2*3*1/(2*2)
         assert all(s == 1.5 for s in sim.strengths.values())
-        assert sim.total == 3
-        assert sim.node_strengths == (2, 2, 2)
 
     def test_single_edge(self):
         net = network({"a": 5, "b": 5}, {(0, 1): 5})
@@ -173,9 +171,9 @@ class TestRelevanceScores:
         # r_a = ln(1/q_b) = ln 2; r_b = ln 2; symmetry gives r_a == r_c
         net = network({"a": 1, "b": 2, "c": 1}, {(0, 1): 1, (1, 2): 1})
         scores = relevance_scores(net)
-        assert scores.values[0] == pytest.approx(math.log(2), abs=1e-12)
-        assert scores.values[1] == pytest.approx(math.log(2), abs=1e-12)
-        assert scores.values[0] == scores.values[2]
+        assert scores[0] == pytest.approx(math.log(2), abs=1e-12)
+        assert scores[1] == pytest.approx(math.log(2), abs=1e-12)
+        assert scores[0] == scores[2]
 
     def test_concentration_increase_raises_score(self):
         # star 0-{1,2,3}: each leaf scores ln 2; adding edge (1,2) shrinks the
@@ -184,8 +182,8 @@ class TestRelevanceScores:
                        {(0, 1): 1, (0, 2): 1, (0, 3): 1})
         grown = network({"hub": 3, "x": 2, "y": 2, "z": 1},
                         {(0, 1): 1, (0, 2): 1, (0, 3): 1, (1, 2): 1})
-        before = relevance_scores(star).values[3]
-        after = relevance_scores(grown).values[3]
+        before = relevance_scores(star)[3]
+        after = relevance_scores(grown)[3]
         assert before == pytest.approx(math.log(2), abs=1e-12)
         assert after == pytest.approx(math.log(8 / 3), abs=1e-12)
         assert after > before
@@ -201,7 +199,7 @@ class TestRelevanceScores:
             if len(edges) < 2:
                 continue
             net = network({f"t{k}": 3 for k in range(n)}, edges)
-            got = relevance_scores(net).values
+            got = relevance_scores(net)
             w = [0] * n
             for (i, j), c in edges.items():
                 w[i] += c
@@ -234,7 +232,7 @@ def scored_network(n: int):
     terms = {f"term{k:03d}": n - k for k in range(n)}
     edges = {(k, k + 1): 1 for k in range(n - 1)}
     net = network(terms, edges)
-    scores = RelevanceScores(tuple(float(n - k) for k in range(n)))
+    scores = tuple(float(n - k) for k in range(n))
     return net, scores
 
 
@@ -246,10 +244,9 @@ class TestSelectTopTerms:
     def test_selection_arithmetic(self, n, kept_before, n_excl, kept_after):
         net, scores = scored_network(n)
         exclusions = {f"term{k:03d}" for k in range(n_excl)}  # all hit retained terms
+        assert top_count(0.6, n) == kept_before == len(select_top_terms(net, scores, 0.6).terms)
         selected = select_top_terms(net, scores, 0.6, exclusions)
-        assert selected.provenance["retained_before_exclusions"] == kept_before
         assert len(selected.terms) == kept_after
-        assert selected.provenance["retained_after_exclusions"] == kept_after
 
     def test_fraction_one_is_identity(self):
         net, scores = scored_network(9)
@@ -259,6 +256,8 @@ class TestSelectTopTerms:
     def test_exact_floor_at_rational_boundaries(self):
         net, scores = scored_network(15)
         assert len(select_top_terms(net, scores, 0.6).terms) == 9  # 0.6 * 15 == 9 exactly
+        net, scores = scored_network(100)
+        assert len(select_top_terms(net, scores, 0.29).terms) == top_count(0.29, 100) == 29  # 0.29 * 100 < 29 in floats
 
     def test_too_small_fraction(self):
         net, scores = scored_network(5)
@@ -273,7 +272,7 @@ class TestSelectTopTerms:
 
     def test_tie_breaks_occurrences_then_lexicographic(self):
         net = network({"delta": 5, "alpha": 5, "bravo": 9}, {(0, 1): 1, (1, 2): 1, (0, 2): 1})
-        scores = RelevanceScores((1.0, 1.0, 1.0))
+        scores = (1.0, 1.0, 1.0)
         selected = select_top_terms(net, scores, 0.67)  # floor(2.01) = 2
         # equal scores: higher occurrences first (bravo), then 'alpha' < 'delta'
         assert set(selected.term_strings) == {"bravo", "alpha"}

@@ -3,21 +3,24 @@
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
 import citemap
+import citemap.layout as layout_module
 import citemap.pipeline as pipeline_module
 import citemap.providers as providers
 from citemap.cli import main
 from citemap.errors import ConfigError, StageError
 from citemap.exports import read_map_file, read_network_file
+from citemap.network import count_cooccurrences, relevance_scores, select_top_terms, top_count
 from citemap.pipeline import (
     OUTPUT_NAMES,
     PipelineConfig,
@@ -28,9 +31,6 @@ from citemap.pipeline import (
 )
 
 from conftest import sim
-
-# the package exports a function named layout, which hides the module attribute
-layout_module = importlib.import_module("citemap.layout")
 
 
 def demo_config(demo_corpus, out_dir, **overrides) -> PipelineConfig:
@@ -166,7 +166,12 @@ class TestRunPipeline:
         paths = run_pipeline(config)
         records = read_map_file(paths["map.tsv"])
         assert len(records) == len(result.network.terms)
-        assert len(records) == result.network.provenance["retained_after_exclusions"]
+        counted = count_cooccurrences(result.units, result.lexicon, config.counting)
+        selected = select_top_terms(counted, relevance_scores(counted), config.relevance_fraction,
+                                    result.word_lists.exclusions)
+        assert len(records) == len(selected.terms)
+        manifest = json.loads(paths["manifest.json"].read_text(encoding="utf-8"))
+        assert manifest["summary"]["retained_before_exclusions"] == top_count(0.6, len(result.lexicon))
 
     def test_exports_reimport_to_equal_structures(self, demo_corpus, tmp_path):
         config = demo_config(demo_corpus, tmp_path / "out")
@@ -190,13 +195,17 @@ class TestRunPipeline:
         config = demo_config(demo_corpus, tmp_path / "out", mode="citation-context",
                              min_occurrences=3)
         result = analyze(config)
-        assert result.network.provenance["source"] == "citation_context"
+        context_units = [(f"{c.citing_id}::{c.cited_id}::{c.ordinal}", c.text) for c in result.contexts]
+        assert [(u.unit_id, u.text) for u in result.units] == context_units
         assert len(result.network.terms) > 0
 
     def test_full_counting_mode(self, demo_corpus, tmp_path):
-        config = demo_config(demo_corpus, tmp_path / "out", counting="full")
-        result = analyze(config)
-        assert result.network.counting_mode == "full"
+        full = analyze(demo_config(demo_corpus, tmp_path / "out", counting="full", relevance_fraction=1.0)).network
+        binary = analyze(demo_config(demo_corpus, tmp_path / "out", relevance_fraction=1.0)).network
+        assert full.terms == binary.terms
+        assert full.edges.keys() == binary.edges.keys()
+        assert all(full.edges[pair] >= count for pair, count in binary.edges.items())
+        assert full.edges != binary.edges
 
 
 class TestCompareNetworks:
@@ -385,6 +394,31 @@ class TestCli:
         assert f"error: {next(iter(setting))} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, flags, setting", [
+        ("resolution", ["--resolution", "nan"], {}),
+        ("resolution", ["--resolution", "inf"], {}),
+        ("resolution", [], {"resolution": 10 ** 400}),
+        ("seed", ["--seed", "-1"], {}),
+        ("svg_node_scale", [], {"svg_node_scale": -5}),
+        ("svg_node_scale", [], {"svg_node_scale": math.inf}),
+        ("layout_tol", [], {"layout_tol": math.nan}),
+        ("layout_tol", [], {"layout_tol": -1e-8}),
+        ("layout_max_iter", [], {"layout_max_iter": 0}),
+        ("relevance_fraction", [], {"relevance_fraction": math.nan}),
+    ], ids=["resolution-nan", "resolution-inf", "resolution-int-too-large", "seed-negative", "svg_node_scale-negative", "svg_node_scale-inf",
+            "layout_tol-nan", "layout_tol-negative", "layout_max_iter-zero", "relevance_fraction-nan"])
+    def test_config_value_out_of_range_exit_code(self, name, flags, setting, demo_corpus, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(setting))  # json writes NaN and Infinity, and reads them back
+        code = main(["pipeline", "--config", str(config_path), "--corpus", str(demo_corpus),
+                     "--out", str(tmp_path / "out"), *flags])
+        assert code == 2
+        assert f"error: {name} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_range_boundaries_accepted(self):
+        PipelineConfig(seed=0, svg_node_scale=0.0, layout_tol=0.0, layout_max_iter=1).validate()
+
     def test_config_takes_int_for_float_and_null_for_optional_paths(self):
         config = PipelineConfig.from_mapping({"resolution": 2, "stoplist": None, "corpus": None})
         assert config.resolution == 2 and config.stoplist is None
@@ -396,6 +430,13 @@ class TestCli:
 
 
 class TestImportHygiene:
+    def test_layout_submodule_is_not_hidden_by_a_function(self):
+        import citemap.layout as imported
+
+        assert isinstance(imported, ModuleType)
+        assert imported.MAX_LAYOUT_TERMS == 5000
+        assert citemap.layout is imported
+
     def test_cli_import_loads_no_http_stack(self):
         # a fresh interpreter: this test process has imported providers already
         probe = ("import json, sys, citemap.cli; "

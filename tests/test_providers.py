@@ -310,6 +310,41 @@ class TestHttpProvider:
         with pytest.raises(ConfigError):
             ProviderSpec.from_mapping({"base_url": "x", "nonsense": 1})
 
+    @pytest.mark.parametrize("mapping", [5, [], "https://x.example", None], ids=repr)
+    def test_spec_from_mapping_rejects_non_object(self, mapping):
+        with pytest.raises(ConfigError, match="provider settings must be a JSON object"):
+            ProviderSpec.from_mapping(mapping)
+
+    @pytest.mark.parametrize("setting", [
+        {"base_url": 5},
+        {"timeout": "x"},
+        {"timeout": True},
+        {"timeout": None},
+        {"api_key_env": 3},
+        {"entities_path": None},
+        {"citing_query": ["citedBy={cited_id}"]},
+    ], ids=lambda setting: f"{next(iter(setting))}={next(iter(setting.values()))!r}")
+    def test_spec_from_mapping_rejects_value_of_wrong_type(self, setting):
+        name = next(iter(setting))
+        with pytest.raises(ConfigError, match=f"^{name} must be "):
+            ProviderSpec.from_mapping({"base_url": "https://x.example", **setting})
+
+    def test_spec_takes_int_timeout_and_null_key_env(self):
+        spec = ProviderSpec.from_mapping({"base_url": "https://x.example", "timeout": 5, "api_key_env": None})
+        assert spec.timeout == 5 and spec.api_key_env is None
+
+    @pytest.mark.parametrize("payload", ["5", '{"base_url": 5}', '{"base_url": "http://127.0.0.1:9", "timeout": "x"}'])
+    def test_bad_provider_config_exits_2(self, payload, tmp_path, capsys):
+        from citemap.cli import main
+
+        provider_config = tmp_path / "provider.json"
+        provider_config.write_text(payload, encoding="utf-8")
+        code = main(["ingest", "--provider-config", str(provider_config), "--query", "author=x",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestFileProvider:
     @pytest.fixture()
