@@ -10,6 +10,12 @@ and is projected back onto the constraint; an over-relaxed step is tried
 first, and a step is kept only if it lowers V. Disconnected inputs are laid
 out one component at a time and arranged on a grid before the final
 projection.
+
+Memory bounds the map size. V is summed over the edge list, the B weights
+overwrite the accepted distance matrix, and the Laplacian is freed once
+inverted. An iteration then holds L^+, the plain step's distances, and the
+over-relaxed point's distances with one temporary array while they are built.
+The peak is about 4.3 n x n float arrays, the inversion's workspace included.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .errors import ConfigError, ConsistencyError
 from .network import SimilarityMatrix
 
 _COMPONENT_GAP = 2.0  # spacing between component bounding boxes, pre-projection
-MAX_LAYOUT_TERMS = 5000  # the n x n arrays of a map this size take about 1.2 GB
+MAX_LAYOUT_TERMS = 5000  # the n x n arrays of a map this size peak at about 0.9 GB
 
 
 @dataclass(frozen=True)
@@ -50,9 +56,17 @@ def layout_objective(sim: SimilarityMatrix, positions: Sequence[Sequence[float]]
 
 
 def _distances(x: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distance matrix of 2D points."""
+    """Pairwise Euclidean distance matrix of 2D points.
+
+    sqrt(dx^2 + dy^2) built in place; hypot's overflow guard buys nothing on
+    projected coordinates of order 1.
+    """
     dist = np.subtract.outer(x[:, 0], x[:, 0])
-    return np.hypot(dist, np.subtract.outer(x[:, 1], x[:, 1]), out=dist)
+    dist *= dist
+    dy = np.subtract.outer(x[:, 1], x[:, 1])
+    dy *= dy
+    dist += dy
+    return np.sqrt(dist, out=dist)
 
 
 def _project(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,41 +88,54 @@ def _project(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x / d, dist
 
 
+def _edge_objective(y: np.ndarray, ei: np.ndarray, ej: np.ndarray, es: np.ndarray) -> float:
+    """V(y) summed over the edges (ei[k], ej[k]) of strength es[k]."""
+    diff = y[ei] - y[ej]
+    diff *= diff
+    return float((es * diff.sum(axis=1)).sum())
+
+
 def _optimize(strengths: dict[tuple[int, int], float], n: int, seed: int, max_iter: int, tol: float,
               trace: list[float] | None) -> tuple[np.ndarray, float, bool, int]:
-    rng = np.random.default_rng(seed)
-    x, dist = _project(rng.uniform(-0.5, 0.5, size=(n, 2)))
+    pairs = sorted(strengths)
+    ei, ej = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    es = np.array([strengths[pair] for pair in pairs])
     laplacian = np.zeros((n, n))
-    for (i, j), s in sorted(strengths.items()):
+    for i, j in pairs:
+        s = strengths[i, j]
         laplacian[i, j] -= s
         laplacian[j, i] -= s
         laplacian[i, i] += s
         laplacian[j, j] += s
     # exact pseudo-inverse for one connected component, whose Laplacian's
     # null space is the constant vector
-    laplacian_pinv = np.linalg.inv(laplacian + 1.0 / n)
+    laplacian += 1.0 / n
+    laplacian_pinv = np.linalg.inv(laplacian)
+    del laplacian
     laplacian_pinv -= 1.0 / n
+    rng = np.random.default_rng(seed)
+    x, dist = _project(rng.uniform(-0.5, 0.5, size=(n, 2)))
 
-    def objective(y: np.ndarray) -> float:
-        return float(np.einsum("ij,ij->", y, laplacian @ y))
-
-    value = objective(x)
+    value = _edge_objective(x, ei, ej, es)
     if trace is not None:
         trace.append(value)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        # B(x) x with b_ij = -1/d_ij off the diagonal and zero row sums
-        weights = np.divide(1.0, dist, out=np.zeros_like(dist), where=dist > 0)
+        # B(x) x with b_ij = -1/d_ij off the diagonal and zero row sums. The
+        # weights overwrite the accepted distances: if no candidate below
+        # replaces them, V did not fall and the loop stops (tol >= 0).
+        weights = np.divide(1.0, dist, out=dist, where=dist > 0)
         target = weights.sum(axis=1)[:, None] * x - weights @ x
-        del weights  # one n x n array fewer alive through the two projections
+        del weights, dist  # no n x n array but L^+ alive into the projections
         step, step_dist = _project(laplacian_pinv @ target)
         previous = value
         # the over-relaxed point first, then the plain step, else stay put
         for candidate, candidate_dist in (_project(2.0 * step - x), (step, step_dist)):
-            candidate_value = objective(candidate)
+            candidate_value = _edge_objective(candidate, ei, ej, es)
             if candidate_value < value:
                 x, dist, value = candidate, candidate_dist, candidate_value
+        del step, step_dist, candidate, candidate_dist  # only the accepted one lives on
         if trace is not None:
             trace.append(value)
         if previous - value <= tol * max(abs(value), 1e-30):
@@ -161,6 +188,8 @@ def layout(
         raise ValueError("layout needs at least one term")
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
+    if not tol >= 0:
+        raise ConfigError(f"tol must be >= 0, got {tol}")
     for pair, s in sim.strengths.items():
         if not math.isfinite(s):
             raise ValueError(f"non-finite similarity {s!r} on pair {pair}")

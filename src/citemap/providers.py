@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 import warnings
 from abc import ABC, abstractmethod
@@ -168,6 +169,9 @@ class ProviderSpec:
         check_settings(cls, mapping, "provider settings")
         if "base_url" not in mapping:
             raise ConfigError("provider settings must include base_url")
+        # nan fails the comparison, and so does an int too large for a float
+        if "timeout" in mapping and not 0 < mapping["timeout"] <= sys.float_info.max:
+            raise ConfigError(f"timeout must be finite and > 0, got {mapping['timeout']!r}")
         return cls(**mapping)
 
     @classmethod

@@ -31,7 +31,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import CitationContext, Document, DocumentSet
 from .errors import ConfigError, ConsistencyError, ParseError
@@ -110,7 +110,7 @@ def segment(text: str) -> list[list[str]]:
     return sentences
 
 
-def _fate(token: str, stopset: frozenset[str] | set[str], vocabulary: frozenset[str] | set[str] | None) -> str | None:
+def _fate(token: str, stopset: frozenset[str] | set[str], vocabulary: Container[str] | None) -> str | None:
     """None for a run-breaker (a stopword, or a token with no letter), else the normalized token."""
     if token in stopset or not any(ch.isalpha() for ch in token):
         return None
@@ -269,18 +269,21 @@ def build_lexicon(
     canon = resolve_thesaurus(thesaurus or {})
 
     # First pass: segment every unit once; the full token vocabulary drives
-    # the conservative plural merge, keeping the result order-invariant.
+    # the conservative plural merge, keeping the result order-invariant. The
+    # vocabulary maps each token to its first string, and the kept sentences
+    # hold that one string per distinct token instead of one per occurrence.
     segmented: list[tuple[str, list[list[str]]]] = []
-    vocabulary: set[str] = set()
+    vocabulary: dict[str, str] = {}
     seen_ids: set[str] = set()
     for unit in units:
         if unit.unit_id in seen_ids:
             raise ConsistencyError(f"duplicate unit id {unit.unit_id!r}")
         seen_ids.add(unit.unit_id)
-        sentences = segment(strip_citation_authors(unit.text))
+        sentences = [
+            list(map(vocabulary.setdefault, sentence, sentence))
+            for sentence in segment(strip_citation_authors(unit.text))
+        ]
         segmented.append((unit.unit_id, sentences))
-        for sentence in sentences:
-            vocabulary.update(sentence)
 
     # each distinct token's fate is worked out once, not once per suffix
     fate = {token: _fate(token, stopset, vocabulary) for token in vocabulary}
@@ -298,15 +301,9 @@ def build_lexicon(
             per_term = counts.setdefault(term, {})
             per_term[unit_id] = per_term.get(unit_id, 0) + times
 
-    kept = {term: uc for term, uc in counts.items() if len(uc) >= min_occurrences}
-
-    entries = {
-        term: LexiconEntry(term, dict(sorted(kept[term].items())))
-        for term in sorted(kept)
-    }
-    return Lexicon(
-        terms=entries,
-    )
+    kept = sorted(term for term, per_term in counts.items() if len(per_term) >= min_occurrences)
+    # each count dict is dropped as its sorted copy is made
+    return Lexicon({term: LexiconEntry(term, dict(sorted(counts.pop(term).items()))) for term in kept})
 
 
 def parse_word_list(text: str) -> list[str]:

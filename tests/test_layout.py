@@ -5,12 +5,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from citemap.errors import ConsistencyError
-from citemap.layout import MapLayout, layout, layout_objective
+from citemap.errors import ConfigError, ConsistencyError
+from citemap.layout import MapLayout, _distances, _edge_objective, layout, layout_objective
 
 from conftest import sim
 
@@ -144,6 +145,12 @@ class TestLayout:
         assert first.positions == second.positions
         assert first.objective == second.objective
 
+    @pytest.mark.parametrize("tol", [-1e-8, float("nan")])
+    def test_negative_or_nan_tolerance_rejected(self, tol):
+        # the loop stops on the first iteration that keeps no candidate only when tol >= 0
+        with pytest.raises(ConfigError, match="tol must be >= 0"):
+            layout(EQUILATERAL, seed=1, tol=tol)
+
     def test_non_finite_similarity_rejected(self):
         with pytest.raises(ValueError):
             layout(sim(2, {(0, 1): float("nan")}), seed=1)
@@ -222,3 +229,57 @@ class TestConvergence:
             moved -= moved.mean(axis=0)
             moved /= mean_pairwise([tuple(p) for p in moved])
             assert layout_objective(s, [tuple(p) for p in moved]) >= base * (1 - 1e-9)
+
+
+class TestKernels:
+    """The in-place kernels against the expressions they replaced, kept here as references."""
+
+    def test_distances_match_hypot(self):
+        rng = np.random.default_rng(8)
+        for scale in (1e-3, 1.0, 1e3):
+            x = rng.uniform(-scale, scale, size=(300, 2))
+            reference = np.hypot(np.subtract.outer(x[:, 0], x[:, 0]), np.subtract.outer(x[:, 1], x[:, 1]))
+            np.testing.assert_allclose(_distances(x), reference, rtol=1e-15, atol=0)
+
+    def test_edge_objective_matches_layout_objective_and_dense_laplacian(self):
+        rng = random.Random(9)
+        n = 50
+        strengths = {
+            (i, j): rng.lognormvariate(0.0, 1.0) for i, j in itertools.combinations(range(n), 2) if rng.random() < 0.2
+        }
+        pairs = sorted(strengths)
+        ei = np.array([i for i, _ in pairs])
+        ej = np.array([j for _, j in pairs])
+        es = np.array([strengths[pair] for pair in pairs])
+        laplacian = np.zeros((n, n))  # the dense Laplacian the layout used to score V with
+        for (i, j), s in sorted(strengths.items()):
+            laplacian[i, j] -= s
+            laplacian[j, i] -= s
+            laplacian[i, i] += s
+            laplacian[j, j] += s
+        for seed in range(5):
+            y = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 2))
+            value = _edge_objective(y, ei, ej, es)
+            assert value == pytest.approx(layout_objective(sim(n, strengths), y.tolist()), rel=1e-12, abs=0)
+            assert value == pytest.approx(float(np.einsum("ij,ij->", y, laplacian @ y)), rel=1e-12, abs=0)
+
+
+class TestMemory:
+    def test_peak_stays_below_six_n_by_n_arrays(self):
+        # a connected 600-term map with log-normal strengths: a spanning path plus chords
+        n = 600
+        rng = random.Random(600)
+        strengths = {(i, i + 1): rng.lognormvariate(0.0, 1.0) for i in range(n - 1)}
+        for i, j in itertools.combinations(range(n), 2):
+            if j > i + 1 and rng.random() < 0.05:
+                strengths[(i, j)] = rng.lognormvariate(0.0, 1.0)
+        s = sim(n, strengths)
+        layout(EQUILATERAL, seed=1)  # lazy set-up outside the measurement
+        tracemalloc.start()
+        try:
+            result = layout(s, seed=1, max_iter=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.iterations_used >= 1
+        assert peak < 6 * 8 * n * n

@@ -329,11 +329,24 @@ class TestHttpProvider:
         with pytest.raises(ConfigError, match=f"^{name} must be "):
             ProviderSpec.from_mapping({"base_url": "https://x.example", **setting})
 
+    @pytest.mark.parametrize("timeout", [0, 0.0, -1, -0.5, float("nan"), float("inf"), 10**400],
+                             ids=["0", "0.0", "-1", "-0.5", "nan", "inf", "10**400"])
+    def test_spec_from_mapping_rejects_timeout_out_of_range(self, timeout):
+        with pytest.raises(ConfigError, match="^timeout must be finite and > 0"):
+            ProviderSpec.from_mapping({"base_url": "https://x.example", "timeout": timeout})
+
     def test_spec_takes_int_timeout_and_null_key_env(self):
         spec = ProviderSpec.from_mapping({"base_url": "https://x.example", "timeout": 5, "api_key_env": None})
         assert spec.timeout == 5 and spec.api_key_env is None
 
-    @pytest.mark.parametrize("payload", ["5", '{"base_url": 5}', '{"base_url": "http://127.0.0.1:9", "timeout": "x"}'])
+    @pytest.mark.parametrize("payload", [
+        "5",
+        '{"base_url": 5}',
+        '{"base_url": "http://127.0.0.1:9", "timeout": "x"}',
+        '{"base_url": "http://127.0.0.1:9", "timeout": -1}',
+        '{"base_url": "http://127.0.0.1:9", "timeout": NaN}',
+        '{"base_url": "http://127.0.0.1:9", "timeout": Infinity}',
+    ])
     def test_bad_provider_config_exits_2(self, payload, tmp_path, capsys):
         from citemap.cli import main
 
