@@ -3,12 +3,10 @@
 Builds keyword co-occurrence networks from titles/abstracts of a cited
 paper set, from the papers citing it, and from the citation-context
 snippets around those citations; clusters and lays out each network; and
-compares the three.
+compares the three. The input is one JSONL corpus dump (see corpus).
 """
 
 __version__ = "0.1.0"
-
-from importlib import import_module as _import_module
 
 from .clustering import Clustering, cluster, quality
 from .compare import (
@@ -34,10 +32,7 @@ from .errors import (
     ConfigError,
     ConsistencyError,
     ParseError,
-    ProviderError,
-    ResponseError,
     StageError,
-    TransportError,
 )
 from .exports import (
     MapRecord,
@@ -81,23 +76,4 @@ from .terms import (
     strip_citation_authors,
 )
 
-# providers imports requests, which only fetching from a catalog needs, so its
-# names are resolved on first use
-_PROVIDER_NAMES = (
-    "FileProvider",
-    "GraphProvider",
-    "HttpProvider",
-    "ProviderSpec",
-    "fetch_citing_with_contexts",
-    "fetch_publications",
-)
-
-
-def __getattr__(name: str):
-    if name == "providers" or name in _PROVIDER_NAMES:
-        providers = _import_module(".providers", __name__)
-        return providers if name == "providers" else getattr(providers, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = sorted({name for name in dir() if not name.startswith("_")} | {"providers", *_PROVIDER_NAMES})
+__all__ = sorted(name for name in dir() if not name.startswith("_"))

@@ -4,7 +4,7 @@ Each subcommand writes a fixed set of files and runs exactly the stages those
 files read (``pipeline.Run``), from the corpus load up to the last one below:
 
     subcommand  files written                                                 last stage run
-    ingest      corpus_stats.json (and corpus.jsonl when fetching)            corpus load, or a provider fetch
+    ingest      corpus_stats.json                                             corpus and word-list load
     extract     lexicon.tsv                                                   lexicon
     build       network.tsv, network_terms.tsv                                relevance cut
     cluster     clusters.tsv                                                  clustering
@@ -18,8 +18,7 @@ subcommand writes its files all or nothing, so a failed write keeps the
 earlier run's files. Settings come from flags, which override a JSON config
 file, which overrides the built-in defaults.
 
-Exit codes: 0 success, 2 configuration error, 3 input/parse error,
-4 provider/transport error.
+Exit codes: 0 success, 2 configuration error, 3 input/parse error.
 """
 
 from __future__ import annotations
@@ -28,15 +27,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .corpus import dataset_stats, load_corpus, write_corpus
-from .errors import (
-    CitemapError,
-    ConfigError,
-    ConsistencyError,
-    ParseError,
-    ProviderError,
-    StageError,
-)
+from .errors import CitemapError, ConfigError, StageError
 from .exports import write_json
 from .network import top_count
 from .pipeline import PipelineConfig, Run, compare_networks, run_pipeline, write_files, write_outputs
@@ -78,38 +69,11 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    writers = {}
-    if args.provider_config:
-        if not args.query:
-            raise ConfigError("--query is required when fetching from a provider")
-        # imported here so that no other subcommand loads the HTTP stack
-        from .providers import HttpProvider, ProviderSpec, fetch_citing_with_contexts, fetch_publications
-
-        provider = HttpProvider(ProviderSpec.from_file(args.provider_config))
-        cited = fetch_publications(provider, args.query, args.page_size)
-        citing, contexts = fetch_citing_with_contexts(provider, list(cited.ids()), args.page_size)
-        docs = cited
-        for doc in citing:
-            docs.add(doc)
-        writers["corpus.jsonl"] = lambda path: write_corpus(path, docs, contexts)
-    elif config.corpus:
-        docs, contexts = load_corpus(config.corpus)
-    else:
-        raise ConfigError("either --corpus or --provider-config is required")
-    stats = dataset_stats(docs.filter_tag("cited"), docs.filter_tag("citing"), contexts)
-    writers["corpus_stats.json"] = lambda path: write_json(path, stats.to_dict())
-    paths = write_files(config.out_dir, writers)
-    if "corpus.jsonl" in paths:
-        print(f"wrote {paths['corpus.jsonl']} ({len(docs)} documents, {len(contexts)} contexts)")
-    print(f"{stats.n_cited} cited, {stats.n_citing} citing, {stats.n_contexts} contexts, "
-          f"overlap {stats.n_overlap} -> {paths['corpus_stats.json']}")
-    return 0
-
-
 # subcommand -> (help, files written, summary line); the run computes only the stages those files read
 STAGED = {
+    "ingest": ("validate a corpus dump and write its totals", ("corpus_stats.json",), lambda r, paths: (
+        f"{r.corpus_stats.n_cited} cited, {r.corpus_stats.n_citing} citing, {r.corpus_stats.n_contexts} contexts, "
+        f"overlap {r.corpus_stats.n_overlap} -> {paths['corpus_stats.json']}")),
     "extract": ("build the thresholded lexicon", ("lexicon.tsv",), lambda r, paths: (
         f"{len(r.lexicon)} terms with {r.config.min_occurrences}+ occurrences -> {paths['lexicon.tsv']}")),
     "build": ("build the co-occurrence network files", ("network.tsv", "network_terms.tsv"), lambda r, paths: (
@@ -166,12 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     settings = _settings_parser()
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ingest = sub.add_parser("ingest", parents=[settings], help="validate a corpus dump or fetch one from a provider")
-    ingest.add_argument("--provider-config", help="JSON file with provider base URL and field mapping")
-    ingest.add_argument("--query", help="entity query expression for the provider")
-    ingest.add_argument("--page-size", dest="page_size", type=int, default=50)
-    ingest.set_defaults(func=cmd_ingest)
-
     for name, (help_text, _, _) in STAGED.items():
         sub.add_parser(name, parents=[settings], help=help_text).set_defaults(func=cmd_staged)
     for name, func, help_text in (
@@ -188,26 +146,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StageError as exc:
+    except (CitemapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        cause = exc.cause
-        if isinstance(cause, ConfigError):
-            return 2
-        if isinstance(cause, ProviderError):
-            return 4
-        return 3
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, ConsistencyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ProviderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except CitemapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        cause = exc.cause if isinstance(exc, StageError) else exc
+        return 2 if isinstance(cause, ConfigError) else 3
 
 
 if __name__ == "__main__":

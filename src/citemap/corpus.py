@@ -2,9 +2,10 @@
 
 Two kinds of records flow through the toolkit: documents (title/abstract
 metadata of cited or citing papers) and citation contexts (the text snippet
-around one in-text citation). Both can be read from a JSONL dump or fetched
-through a GraphProvider (see providers). Context snippets are treated as
-opaque provider-supplied text; no re-segmentation is attempted.
+around one in-text citation). Both are read from one JSONL dump, the only
+input of a run; data from another source is converted to it outside the
+package. Context snippets are taken as given; no re-segmentation is
+attempted.
 
 Dump format: UTF-8 JSONL, LF line endings. Each line is an object with
 ``"kind": "document"`` (fields: id, doi, title, abstract, year, set_tag) or

@@ -1,7 +1,9 @@
 """Exception and warning types shared across the toolkit, and the check of settings files.
 
-The CLI maps these onto exit codes: ConfigError -> 2, ParseError and
-ConsistencyError -> 3, ProviderError (and subclasses) -> 4.
+The CLI maps these onto exit codes: ConfigError -> 2; any other CitemapError,
+ValueError or OSError -> 3. A StageError takes the code of the error it wraps.
+ProviderError and its subclasses are raised only by the providers module,
+which no subcommand uses.
 """
 
 from types import NoneType

@@ -229,7 +229,7 @@ def layout(
         for row, member in enumerate(members):
             placed[member] = coords[row] + offset
     placed, _ = _project(placed)
-    value = layout_objective(sim, placed)
+    value = float(layout_objective(sim, placed))  # np.float64 over an array; a connected map's V is a float
     if trace is not None:
         trace.append(value)
     converged = all(sub[2] for _, sub in sub_results)

@@ -26,7 +26,7 @@ from typing import Callable, Iterable
 from . import __version__
 from .clustering import Clustering, cluster
 from .compare import ComparisonReport, triplet_report
-from .corpus import dataset_stats, load_corpus
+from .corpus import CorpusStats, dataset_stats, load_corpus
 from .errors import CitemapError, ConfigError, StageError, check_settings
 from .exports import export_graph_json, export_map, export_network, export_terms, render_svg, write_json, write_lines
 from .layout import MapLayout, layout
@@ -184,19 +184,24 @@ class Run:
     """One run: its config and loaded inputs, and each stage computed when first read.
 
     The constructor validates the config and loads the corpus and word lists.
-    Each stage is a property computed once: units, lexicon, network (after
-    the relevance cut), similarity, clustering and map_layout.
+    Each stage is a property computed once: corpus_stats, units, lexicon,
+    network (after the relevance cut), similarity, clustering and map_layout.
     """
 
     def __init__(self, config: PipelineConfig):
         config.validate()
         if not config.corpus:
-            raise ConfigError("no corpus path configured; fetch one with 'ingest' first")
+            raise ConfigError("no corpus path configured; give one with --corpus or the config's 'corpus' key")
         corpus_path = Path(config.corpus)
         self.config = config
         self.documents, self.contexts = _stage("ingest", load_corpus, corpus_path)
         self.corpus_digest = _sha256(corpus_path.read_bytes())
         self.word_lists = _stage("ingest", _resolve_word_lists, config)
+
+    @cached_property
+    def corpus_stats(self) -> CorpusStats:
+        docs = self.documents
+        return dataset_stats(docs.filter_tag("cited"), docs.filter_tag("citing"), self.contexts)
 
     @cached_property
     def units(self) -> list[TextUnit]:
@@ -274,11 +279,6 @@ def build_manifest(run: Run, outputs: Iterable[str]) -> dict:
     }
 
 
-def _corpus_stats(run: Run) -> dict:
-    docs = run.documents
-    return dataset_stats(docs.filter_tag("cited"), docs.filter_tag("citing"), run.contexts).to_dict()
-
-
 # Output name -> factory(run) -> writer(path). A factory reads the stages its
 # file needs, so calling it computes them; it looks the exporter up when it
 # runs, so a patched module attribute is the one called.
@@ -293,7 +293,7 @@ WRITERS: dict[str, Callable[[Run], Callable[[Path], object]]] = {
     "graph.json": lambda r: partial(export_graph_json, r.network, r.similarity, r.map_layout, r.clustering),
     "map.svg": lambda r: partial(render_svg, r.map_layout, r.network, r.clustering,
                                  sim=r.similarity, node_scale=r.config.svg_node_scale),
-    "corpus_stats.json": lambda r: partial(write_json, payload=_corpus_stats(r)),
+    "corpus_stats.json": lambda r: partial(write_json, payload=r.corpus_stats.to_dict()),
     "manifest.json": lambda r: partial(write_json, payload=build_manifest(r, OUTPUT_NAMES)),
 }
 # a full run's outputs, in the order they are written; the manifest comes last

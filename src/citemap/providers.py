@@ -1,10 +1,12 @@
 """Pluggable acquisition of documents and citation contexts.
 
-GraphProvider fixes the three paged fetch capabilities the ingest step
-needs: publications matching a query expression, publications citing a
-given id, and the context snippets around those citations. Two concrete
-providers ship here: HttpProvider adapts a REST catalog whose field layout
-is supplied as configuration, and FileProvider replays a local corpus dump.
+No subcommand uses this module: a run reads its corpus from the JSONL dump
+(see corpus), and this library module is due to be deleted. GraphProvider
+fixes three paged fetch capabilities: publications matching a query
+expression, publications citing a given id, and the context snippets around
+those citations. Two concrete providers ship here: HttpProvider adapts a
+REST catalog whose field layout is supplied as configuration, and
+FileProvider replays a local corpus dump.
 The module-level fetch operations own pagination, retries, deduplication,
 and ordinal assignment, so every provider stays a thin page server.
 """
@@ -173,14 +175,6 @@ class ProviderSpec:
         if "timeout" in mapping and not 0 < mapping["timeout"] <= sys.float_info.max:
             raise ConfigError(f"timeout must be finite and > 0, got {mapping['timeout']!r}")
         return cls(**mapping)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ProviderSpec":
-        try:
-            mapping = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid provider config: {exc.msg}") from exc
-        return cls.from_mapping(mapping)
 
 
 def _dig(obj: object, dotted: str):

@@ -172,6 +172,11 @@ class TestLayout:
         )
         assert gap > internal / 2
 
+    def test_objective_is_a_python_float_on_every_branch(self):
+        # a connected map, a pair plus a triangle, and three isolated terms
+        for s in (EQUILATERAL, sim(5, {(0, 1): 1.0, (2, 3): 1.0, (2, 4): 1.0, (3, 4): 1.0}), sim(3, {})):
+            assert type(layout(s, seed=42).objective) is float
+
     def test_all_isolated_nodes_still_satisfy_constraint(self):
         result = layout(sim(3, {}), seed=42)
         assert abs(mean_pairwise(result.positions) - 1.0) < 1e-9

@@ -16,7 +16,6 @@ import pytest
 import citemap
 import citemap.layout as layout_module
 import citemap.pipeline as pipeline_module
-import citemap.providers as providers
 from citemap.cli import main
 from citemap.errors import ConfigError, StageError
 from citemap.exports import read_map_file, read_network_file
@@ -334,23 +333,24 @@ class TestCli:
         bad.write_text("{broken\n", encoding="utf-8")
         assert main(["ingest", "--corpus", str(bad), "--out", str(tmp_path / "out")]) == 3
 
-    def test_provider_error_exit_code(self, tmp_path, monkeypatch, capsys):
-        provider_config = tmp_path / "provider.json"
-        provider_config.write_text(json.dumps({"base_url": "http://127.0.0.1:9"}))
-        monkeypatch.setattr(providers, "RETRY_BASE_DELAY", 0.0)
+    def test_ingest_fails_through_its_stage(self, demo_corpus, tmp_path, capsys):
+        # ingest is a staged run: a bad corpus or word list fails stage 'ingest' and writes nothing
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{broken\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--corpus", str(bad), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: stage 'ingest' failed: {bad}:1: invalid JSON")
+        missing = tmp_path / "no_stoplist.txt"
+        assert main(["ingest", "--corpus", str(demo_corpus), "--stoplist", str(missing), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: stage 'ingest' failed: ")
+        assert not out.exists()
 
-        class RefusingSession:
-            def get(self, *args, **kwargs):
-                import requests
-                raise requests.ConnectionError("refused")
-
-        monkeypatch.setattr(providers.requests, "Session", RefusingSession)
-        code = main(["ingest", "--provider-config", str(provider_config),
-                     "--query", "author=x", "--out", str(tmp_path / "out")])
-        assert code == 4
-
-    def test_ingest_requires_some_source(self, tmp_path):
-        assert main(["ingest", "--out", str(tmp_path / "out")]) == 2
+    def test_ingest_requires_some_source(self, tmp_path, capsys):
+        for command in ("ingest", "pipeline"):
+            assert main([command, "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == ("error: no corpus path configured; "
+                                               "give one with --corpus or the config's 'corpus' key\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, corpus_name, name", [
         ("ingest", "demo", "corpus_stats.json"),
@@ -438,19 +438,20 @@ class TestImportHygiene:
         assert citemap.layout is imported
 
     def test_cli_import_loads_no_http_stack(self):
-        # a fresh interpreter: this test process has imported providers already
-        probe = ("import json, sys, citemap.cli; "
-                 "print(json.dumps([m for m in ('requests', 'urllib.request', 'http.client', 'xml.sax') "
-                 "if m in sys.modules]))")
+        # a fresh interpreter per import, so that nothing this test process has loaded counts
         src = str(Path(citemap.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                                timeout=60, check=True)
-        assert json.loads(result.stdout) == []
+        for module in ("citemap.cli", "citemap"):
+            probe = (f"import json, sys, {module}; "
+                     "print(json.dumps([m for m in ('requests', 'urllib.request', 'http.client', 'xml.sax') "
+                     "if m in sys.modules]))")
+            result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                                    timeout=60, check=True)
+            assert json.loads(result.stdout) == [], module
 
-    def test_provider_names_stay_exported(self):
-        assert citemap.HttpProvider is citemap.providers.HttpProvider
-        assert citemap.fetch_publications is providers.fetch_publications
-        assert {"HttpProvider", "ProviderSpec", "providers"} <= set(citemap.__all__)
+    def test_every_exported_name_resolves(self):
+        for name in citemap.__all__:
+            assert hasattr(citemap, name), name
+        assert {"Run", "load_corpus", "StageError", "layout"} <= set(citemap.__all__)
         with pytest.raises(AttributeError):
             citemap.no_such_name

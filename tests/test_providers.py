@@ -339,25 +339,6 @@ class TestHttpProvider:
         spec = ProviderSpec.from_mapping({"base_url": "https://x.example", "timeout": 5, "api_key_env": None})
         assert spec.timeout == 5 and spec.api_key_env is None
 
-    @pytest.mark.parametrize("payload", [
-        "5",
-        '{"base_url": 5}',
-        '{"base_url": "http://127.0.0.1:9", "timeout": "x"}',
-        '{"base_url": "http://127.0.0.1:9", "timeout": -1}',
-        '{"base_url": "http://127.0.0.1:9", "timeout": NaN}',
-        '{"base_url": "http://127.0.0.1:9", "timeout": Infinity}',
-    ])
-    def test_bad_provider_config_exits_2(self, payload, tmp_path, capsys):
-        from citemap.cli import main
-
-        provider_config = tmp_path / "provider.json"
-        provider_config.write_text(payload, encoding="utf-8")
-        code = main(["ingest", "--provider-config", str(provider_config), "--query", "author=x",
-                     "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not (tmp_path / "out").exists()
-
 
 class TestFileProvider:
     @pytest.fixture()
