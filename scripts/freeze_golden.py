@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Regenerate tests/golden/demo/ from a defaults run on the bundled corpus.
+"""Regenerate the goldens: tests/golden/demo/ from a defaults pipeline run on
+the bundled demo corpus, and tests/golden/planted/comparison.json from a
+defaults compare run on the bundled planted corpus.
 
 Run this only after an intentional behavior change, then review the diff.
 """
@@ -15,9 +17,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from citemap.exports import write_json
-from citemap.pipeline import PipelineConfig, builtin_corpus_path, run_pipeline
+from citemap.pipeline import PipelineConfig, builtin_corpus_path, compare_networks, run_pipeline
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "golden" / "demo"
+COMPARISON_GOLDEN = GOLDEN_DIR.parent / "planted" / "comparison.json"
 # manifest parameters that name where this run read and wrote, not what it computed
 MANIFEST_PATH_FIELDS = ("corpus", "out_dir")
 
@@ -34,3 +37,6 @@ if __name__ == "__main__":
             else:
                 shutil.copyfile(path, GOLDEN_DIR / name)
             print(f"froze {GOLDEN_DIR / name}")
+    COMPARISON_GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+    write_json(COMPARISON_GOLDEN, compare_networks(PipelineConfig(corpus=str(builtin_corpus_path("planted")))).to_dict())
+    print(f"froze {COMPARISON_GOLDEN}")

@@ -18,19 +18,22 @@ subcommand writes its files all or nothing, so a failed write keeps the
 earlier run's files. Settings come from flags, which override a JSON config
 file, which overrides the built-in defaults.
 
-Exit codes: 0 success, 2 configuration error, 3 input/parse error.
+Exit codes: 0 success, 2 configuration error, 3 input/parse error. Each
+data-quality warning (CitemapWarning) is one ``warning: <message>`` line on
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
-from .errors import CitemapError, ConfigError, StageError
+from .errors import CitemapError, CitemapWarning, ConfigError, StageError
 from .exports import write_json
-from .network import top_count
-from .pipeline import PipelineConfig, Run, compare_networks, run_pipeline, write_files, write_outputs
+from .network import COUNTINGS, top_count
+from .pipeline import DOC_SETS, MODES, PipelineConfig, Run, compare_networks, run_pipeline, write_files, write_outputs
 
 
 def _settings_parser() -> argparse.ArgumentParser:
@@ -38,12 +41,12 @@ def _settings_parser() -> argparse.ArgumentParser:
     group = parent.add_argument_group("pipeline settings")
     group.add_argument("--config", help="JSON config file (or a previous run's manifest)")
     group.add_argument("--corpus", help="corpus dump (JSONL)")
-    group.add_argument("--mode", choices=("title-abstract", "citation-context"),
+    group.add_argument("--mode", choices=MODES,
                        help="unit mode (default title-abstract)")
-    group.add_argument("--set", dest="doc_set", choices=("cited", "citing", "both"),
+    group.add_argument("--set", dest="doc_set", choices=DOC_SETS,
                        help="document set for title-abstract mode (default cited)")
     group.add_argument("--min-occurrences", dest="min_occurrences", type=int, help="term frequency threshold (default 4)")
-    group.add_argument("--counting", choices=("binary", "full"), help="co-occurrence counting (default binary)")
+    group.add_argument("--counting", choices=COUNTINGS, help="co-occurrence counting (default binary)")
     group.add_argument("--relevance-fraction", dest="relevance_fraction", type=float,
                        help="fraction of most relevant terms kept (default 0.6)")
     group.add_argument("--resolution", type=float, help="clustering resolution (default 1.0)")
@@ -144,12 +147,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (CitemapError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        cause = exc.cause if isinstance(exc, StageError) else exc
-        return 2 if isinstance(cause, ConfigError) else 3
+    with warnings.catch_warnings():  # restores the hook below on the way out
+        show = warnings.showwarning
+
+        def show_citemap_warning(message, category, *where):
+            if issubclass(category, CitemapWarning):
+                print(f"warning: {message}", file=sys.stderr)
+            else:
+                show(message, category, *where)
+
+        warnings.showwarning = show_citemap_warning
+        try:
+            return args.func(args)
+        except (CitemapError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            cause = exc.cause if isinstance(exc, StageError) else exc
+            return 2 if isinstance(cause, ConfigError) else 3
 
 
 if __name__ == "__main__":

@@ -187,12 +187,14 @@ def load_corpus(path: str | Path) -> tuple[DocumentSet, list[CitationContext]]:
     """Read a corpus dump and return ``(documents, contexts)`` in file order.
 
     Duplicate document ids are deduplicated first-wins; duplicates and
-    contexts referencing unknown documents each raise one CitemapWarning.
+    contexts referencing unknown documents each raise one CitemapWarning
+    that starts ``<path>:<line>:``.
     A malformed line raises ParseError naming the line number.
     """
     path = Path(path)
     docs = DocumentSet()
     contexts: list[CitationContext] = []
+    context_lines: list[int] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -211,18 +213,16 @@ def load_corpus(path: str | Path) -> tuple[DocumentSet, list[CitationContext]]:
                         warnings.warn(f"{path}:{lineno}: duplicate document id {doc.id!r} ignored", CitemapWarning, stacklevel=2)
                 elif kind == "context":
                     contexts.append(_context_from_record(record))
+                    context_lines.append(lineno)
                 else:
                     raise ValueError(f"unknown kind {kind!r}")
             except (ValueError, TypeError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    for ctx in contexts:
+    for ctx, lineno in zip(contexts, context_lines):
         missing = [i for i in (ctx.citing_id, ctx.cited_id) if i not in docs]
         if missing:
-            warnings.warn(
-                f"context ({ctx.citing_id!r} -> {ctx.cited_id!r} #{ctx.ordinal}) references unknown document(s) {missing}",
-                CitemapWarning,
-                stacklevel=2,
-            )
+            warnings.warn(f"{path}:{lineno}: context ({ctx.citing_id!r} -> {ctx.cited_id!r} #{ctx.ordinal}) "
+                          f"references unknown document(s) {missing}", CitemapWarning, stacklevel=2)
     return docs, contexts
 
 

@@ -1,12 +1,11 @@
-"""Exception and warning types shared across the toolkit, and the check of settings files.
+"""Exception and warning types shared across the toolkit.
 
 The CLI maps these onto exit codes: ConfigError -> 2; any other CitemapError,
 ValueError or OSError -> 3. A StageError takes the code of the error it wraps.
-ProviderError and its subclasses are raised only by the providers module,
-which no subcommand uses.
+ProviderError and its subclasses are raised only by providers.HttpProvider,
+which no subcommand uses. The CLI prints each CitemapWarning as one
+``warning: <message>`` line on stderr.
 """
-
-from types import NoneType
 
 
 class CitemapError(Exception):
@@ -49,14 +48,3 @@ class StageError(CitemapError):
 class CitemapWarning(UserWarning):
     """Non-fatal data quality issue (duplicates, dangling links, isolates)."""
 
-
-def check_settings(cls: type, mapping: dict, what: str) -> None:
-    """ConfigError unless each key of ``mapping`` is a field of dataclass ``cls`` and its value fits the annotation."""
-    unknown = set(mapping) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
-    for name, value in mapping.items():
-        kind = cls.__dataclass_fields__[name].type  # "int", "float", "str" or "str | None"
-        accepted = {"int": int, "float": (int, float), "str": str, "str | None": (str, NoneType)}[kind]
-        if isinstance(value, bool) or not isinstance(value, accepted):  # bool subclasses int
-            raise ConfigError(f"{name} must be {kind}, got {value!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .clustering import Clustering
@@ -59,8 +59,9 @@ class MapRecord:
     occurrences: int
 
 
-def _check_aligned(layout: MapLayout, net: CoocNetwork, clustering: Clustering,
-                   sim: SimilarityMatrix | None = None) -> None:
+def map_records(layout: MapLayout, net: CoocNetwork, clustering: Clustering,
+                sim: SimilarityMatrix | None = None) -> list[MapRecord]:
+    """One record per term, ids 1-based in term order; ConsistencyError unless the inputs describe the same terms."""
     n = len(net.terms)
     if len(layout.positions) != n:
         raise ConsistencyError(f"{len(layout.positions)} positions for {n} terms")
@@ -68,11 +69,6 @@ def _check_aligned(layout: MapLayout, net: CoocNetwork, clustering: Clustering,
         raise ConsistencyError(f"{len(clustering.assignment)} cluster assignments for {n} terms")
     if sim is not None and tuple(sim.terms) != net.term_strings:
         raise ConsistencyError("similarity matrix and network terms differ")
-
-
-def map_records(layout: MapLayout, net: CoocNetwork, clustering: Clustering) -> list[MapRecord]:
-    """One record per term, ids 1-based in term order."""
-    _check_aligned(layout, net, clustering)
     return [
         MapRecord(
             id=i + 1,
@@ -161,18 +157,7 @@ def read_network_file(path: str | Path, terms_path: str | Path) -> CoocNetwork:
 def export_graph_json(net: CoocNetwork, sim: SimilarityMatrix, layout: MapLayout,
                       clustering: Clustering, path: str | Path) -> Path:
     """Write the combined graph JSON (nodes with positions, weighted edges)."""
-    _check_aligned(layout, net, clustering, sim)
-    nodes = [
-        {
-            "id": i + 1,
-            "label": net.terms[i].term,
-            "occurrences": net.terms[i].occurrences,
-            "cluster": clustering.assignment[i],
-            "x": layout.positions[i][0],
-            "y": layout.positions[i][1],
-        }
-        for i in range(len(net.terms))
-    ]
+    nodes = [asdict(record) for record in map_records(layout, net, clustering, sim)]
     edges = [
         {"source": i + 1, "target": j + 1, "cooccurrences": c, "strength": sim.strengths[(i, j)]}
         for (i, j), c in sorted(net.edges.items())
@@ -194,10 +179,10 @@ def render_svg(layout: MapLayout, net: CoocNetwork, clustering: Clustering, path
     strength is drawn (strength falls back to co-occurrence counts when no
     similarity matrix is given), stroke width proportional to strength.
     """
-    _check_aligned(layout, net, clustering, sim)
-    n = len(net.terms)
-    xs = [p[0] for p in layout.positions]
-    ys = [p[1] for p in layout.positions]
+    records = map_records(layout, net, clustering, sim)
+    n = len(records)
+    xs = [rec.x for rec in records]
+    ys = [rec.y for rec in records]
     span_x = (max(xs) - min(xs)) if n > 1 else 0.0
     span_y = (max(ys) - min(ys)) if n > 1 else 0.0
     scale_x = (CANVAS_WIDTH - 2 * _CANVAS_MARGIN) / span_x if span_x > 0 else 0.0
@@ -222,18 +207,18 @@ def render_svg(layout: MapLayout, net: CoocNetwork, clustering: Clustering, path
         f'  <rect width="{CANVAS_WIDTH}" height="{CANVAS_HEIGHT}" fill="#ffffff"/>',
     ]
     for (i, j), weight in sorted(quartile):
-        x1, y1 = to_canvas(*layout.positions[i])
-        x2, y2 = to_canvas(*layout.positions[j])
+        x1, y1 = to_canvas(records[i].x, records[i].y)
+        x2, y2 = to_canvas(records[j].x, records[j].y)
         width = 0.75 + 2.25 * (weight / max_weight)
         parts.append(
             f'  <line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
             f'stroke="#b0b0b0" stroke-width="{width:.2f}" stroke-opacity="0.6"/>'
         )
-    for i in range(n):
-        cx, cy = to_canvas(*layout.positions[i])
-        radius = _node_radius(net.terms[i].occurrences, node_scale)
-        color = PALETTE[clustering.assignment[i] % len(PALETTE)]
-        label = _xml_escape(net.terms[i].term)
+    for rec in records:
+        cx, cy = to_canvas(rec.x, rec.y)
+        radius = _node_radius(rec.occurrences, node_scale)
+        color = PALETTE[rec.cluster % len(PALETTE)]
+        label = _xml_escape(rec.label)
         parts.append(f'  <circle cx="{cx:.2f}" cy="{cy:.2f}" r="{radius:.2f}" fill="{color}" fill-opacity="0.85"/>')
         parts.append(
             f'  <text x="{cx:.2f}" y="{cy + radius + 11.0:.2f}" text-anchor="middle" '

@@ -22,6 +22,7 @@ from .terms import Lexicon, TextUnit
 
 BINARY = "binary"
 FULL = "full"
+COUNTINGS = (BINARY, FULL)
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ def count_cooccurrences(units: Sequence[TextUnit], lexicon: Lexicon, counting: s
     adds min(times_i, times_j) per unit. The lexicon must have been built
     from the same units.
     """
-    if counting not in (BINARY, FULL):
+    if counting not in COUNTINGS:
         raise ConfigError(f"counting must be '{BINARY}' or '{FULL}', got {counting!r}")
     unit_order = [u.unit_id for u in units]
     known_ids = set(unit_order)

@@ -21,16 +21,20 @@ from dataclasses import asdict, dataclass, replace
 from functools import cached_property, partial
 from importlib import resources
 from pathlib import Path
+from types import NoneType
 from typing import Callable, Iterable
 
 from . import __version__
 from .clustering import Clustering, cluster
 from .compare import ComparisonReport, triplet_report
 from .corpus import CorpusStats, dataset_stats, load_corpus
-from .errors import CitemapError, ConfigError, StageError, check_settings
+from .errors import CitemapError, ConfigError, StageError
 from .exports import export_graph_json, export_map, export_network, export_terms, render_svg, write_json, write_lines
 from .layout import MapLayout, layout
 from .network import (
+    BINARY,
+    COUNTINGS,
+    FULL,
     CoocNetwork,
     SimilarityMatrix,
     association_strength,
@@ -54,6 +58,18 @@ MODES = ("title-abstract", "citation-context")
 DOC_SETS = ("cited", "citing", "both")
 # setting -> the least value it may take
 MINIMA = {"min_occurrences": 1, "restarts": 1, "seed": 0, "svg_node_scale": 0, "layout_max_iter": 1, "layout_tol": 0}
+
+
+def _check_settings(cls: type, mapping: dict) -> None:
+    """ConfigError unless each key of ``mapping`` is a field of dataclass ``cls`` and its value fits the annotation."""
+    unknown = set(mapping) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for name, value in mapping.items():
+        kind = cls.__dataclass_fields__[name].type  # "int", "float", "str" or "str | None"
+        accepted = {"int": int, "float": (int, float), "str": str, "str | None": (str, NoneType)}[kind]
+        if isinstance(value, bool) or not isinstance(value, accepted):  # bool subclasses int
+            raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass
@@ -86,8 +102,8 @@ class PipelineConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.doc_set not in DOC_SETS:
             raise ConfigError(f"doc_set must be one of {DOC_SETS}, got {self.doc_set!r}")
-        if self.counting not in ("binary", "full"):
-            raise ConfigError(f"counting must be 'binary' or 'full', got {self.counting!r}")
+        if self.counting not in COUNTINGS:
+            raise ConfigError(f"counting must be '{BINARY}' or '{FULL}', got {self.counting!r}")
         if not 0 < self.relevance_fraction <= 1:
             raise ConfigError(f"relevance_fraction must be in (0, 1], got {self.relevance_fraction}")
         if self.resolution <= 0:
@@ -100,7 +116,7 @@ class PipelineConfig:
     def from_mapping(cls, mapping: dict) -> "PipelineConfig":
         if "parameters" in mapping and isinstance(mapping["parameters"], dict):
             mapping = mapping["parameters"]  # accept a manifest as config
-        check_settings(cls, mapping, "config keys")
+        _check_settings(cls, mapping)
         config = cls(**mapping)
         config.validate()
         return config

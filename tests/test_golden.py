@@ -1,14 +1,16 @@
-"""Golden-file check: a defaults run on the bundled demo corpus reproduces
-the frozen artifacts byte for byte.
+"""Golden-file check: defaults runs on the bundled corpora reproduce the
+frozen artifacts byte for byte.
 
-The goldens under tests/golden/demo/ were produced once by a finished run
-and committed. They pin the whole numeric pipeline (extraction, counting,
-relevance cut, clustering, layout, formatting); regenerate them only for an
+tests/golden/demo/ holds a pipeline run on the demo corpus, and
+tests/golden/planted/comparison.json a compare run on the planted corpus.
+Both were produced once by finished runs and committed. They pin the whole
+numeric pipeline (extraction, counting, relevance cut, clustering, layout,
+formatting) and the three-network comparison; regenerate them only for an
 intentional behavior change, via scripts/freeze_golden.py. The manifest is
 frozen without its corpus and out_dir parameters, which name where a run read
-and wrote rather than what it computed. Byte equality is
-expected on the pinned dependency set; a different numpy build may round
-the layout differently.
+and wrote rather than what it computed. Byte equality is expected on the
+pinned dependency set; a different numpy build may round the layout
+differently.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from pathlib import Path
 import pytest
 
 from citemap.exports import write_json
-from citemap.pipeline import PipelineConfig, run_pipeline
+from citemap.pipeline import PipelineConfig, compare_networks, run_pipeline
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "demo"
+COMPARISON_GOLDEN = Path(__file__).parent / "golden" / "planted" / "comparison.json"
 GOLDEN_NAMES = sorted(p.name for p in GOLDEN_DIR.iterdir())
 
 
@@ -43,3 +46,8 @@ def test_artifact_matches_golden(fresh_run, name):
 
 def test_every_pipeline_artifact_is_covered(fresh_run):
     assert set(GOLDEN_NAMES) == set(fresh_run)
+
+
+def test_comparison_matches_golden(planted_corpus, tmp_path):
+    path = write_json(tmp_path / "comparison.json", compare_networks(PipelineConfig(corpus=str(planted_corpus))).to_dict())
+    assert path.read_bytes() == COMPARISON_GOLDEN.read_bytes()

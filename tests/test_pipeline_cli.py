@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import ModuleType
 
@@ -351,6 +352,20 @@ class TestCli:
             assert capsys.readouterr().err == ("error: no corpus path configured; "
                                                "give one with --corpus or the config's 'corpus' key\n")
         assert not (tmp_path / "out").exists()
+
+    def test_corpus_warnings_are_one_line_each(self, tmp_path, capsys):
+        corpus = tmp_path / "dup.jsonl"
+        corpus.write_text(
+            '{"kind": "document", "id": "a", "set_tag": "cited", "title": "first"}\n'
+            '{"kind": "document", "id": "a", "set_tag": "cited", "title": "again"}\n'
+            '{"kind": "context", "citing_id": "zz", "cited_id": "a", "ordinal": 1, "text": "a snippet"}\n',
+            encoding="utf-8")
+        hook = warnings.showwarning
+        assert main(["ingest", "--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == (f"warning: {corpus}:2: duplicate document id 'a' ignored\n"
+                                           f"warning: {corpus}:3: context ('zz' -> 'a' #1) "
+                                           "references unknown document(s) ['zz']\n")
+        assert warnings.showwarning is hook
 
     @pytest.mark.parametrize("command, corpus_name, name", [
         ("ingest", "demo", "corpus_stats.json"),

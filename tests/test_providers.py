@@ -1,171 +1,15 @@
-"""GraphProvider contract: pagination, retries, dedup, ordinals."""
+"""HttpProvider: request shape, field paths, and the errors an unusable response raises."""
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 import requests
 
-from citemap.corpus import Document, dataset_stats, write_corpus
-from citemap.errors import CitemapWarning, ConfigError, ResponseError, TransportError
-from citemap.providers import (
-    FileProvider,
-    GraphProvider,
-    HttpProvider,
-    ProviderSpec,
-    fetch_citing_with_contexts,
-    fetch_publications,
-)
-
-from conftest import ctx, doc
-
-
-class ScriptedProvider(GraphProvider):
-    """Plays back fixed record lists and counts page requests."""
-
-    def __init__(self, publications=(), citing=None, contexts=None, fail_first=0):
-        self.publications = list(publications)
-        self.citing = dict(citing or {})
-        self.contexts = dict(contexts or {})
-        self.requests = 0
-        self.failures_left = fail_first
-
-    def _page(self, records, count, offset):
-        self.requests += 1
-        if self.failures_left > 0:
-            self.failures_left -= 1
-            raise TransportError("scripted outage")
-        return records[offset:offset + count]
-
-    def publications_page(self, query, count, offset):
-        return self._page(self.publications, count, offset)
-
-    def citing_page(self, cited_id, count, offset):
-        return self._page(self.citing.get(cited_id, []), count, offset)
-
-    def contexts_page(self, cited_id, count, offset):
-        return self._page(self.contexts.get(cited_id, []), count, offset)
-
-
-def no_sleep(_seconds):
-    return None
-
-
-class TestFetchPublications:
-    def test_empty_result(self):
-        provider = ScriptedProvider()
-        result = fetch_publications(provider, "author=nobody", page_size=3, sleep=no_sleep)
-        assert len(result) == 0
-        assert provider.requests == 1
-
-    def test_pagination_until_short_page(self):
-        provider = ScriptedProvider([doc(f"p{k}") for k in range(7)])
-        result = fetch_publications(provider, "q", page_size=3, sleep=no_sleep)
-        assert len(result) == 7
-        assert provider.requests == 3  # pages of 3, 3, 1
-
-    def test_duplicate_across_pages_deduplicated(self):
-        records = [doc(f"p{k}") for k in range(6)]
-        records.insert(4, doc("p1", title="again"))  # 7 records, one repeated id
-        provider = ScriptedProvider(records)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = fetch_publications(provider, "q", page_size=3, sleep=no_sleep)
-        assert len(result) == 6
-        assert sum(issubclass(w.category, CitemapWarning) for w in caught) == 1
-        assert result.get("p1").title != "again"  # first wins
-
-    def test_bad_page_size(self):
-        with pytest.raises(ConfigError):
-            fetch_publications(ScriptedProvider(), "q", page_size=0, sleep=no_sleep)
-
-    def test_retries_then_succeeds(self):
-        provider = ScriptedProvider([doc("p0")], fail_first=2)
-        delays = []
-        result = fetch_publications(provider, "q", page_size=5, sleep=delays.append)
-        assert len(result) == 1
-        assert delays == [1.0, 2.0]  # exponential backoff from 1 s
-
-    def test_retries_exhausted(self):
-        provider = ScriptedProvider([doc("p0")], fail_first=3)
-        with pytest.raises(TransportError):
-            fetch_publications(provider, "q", page_size=5, sleep=no_sleep)
-
-    def test_idempotent_against_fixed_provider(self):
-        records = [doc(f"p{k}") for k in range(5)]
-        first = fetch_publications(ScriptedProvider(records), "q", page_size=2, sleep=no_sleep)
-        second = fetch_publications(ScriptedProvider(records), "q", page_size=2, sleep=no_sleep)
-        assert list(first) == list(second)
-
-
-class TestFetchCitingWithContexts:
-    def test_no_citers(self):
-        citing, contexts = fetch_citing_with_contexts(ScriptedProvider(), ["lonely"], sleep=no_sleep)
-        assert len(citing) == 0 and contexts == []
-
-    def test_empty_cited_ids_rejected(self):
-        with pytest.raises(ConfigError):
-            fetch_citing_with_contexts(ScriptedProvider(), [], sleep=no_sleep)
-
-    def test_multiple_citations_get_ordinals(self):
-        provider = ScriptedProvider(
-            citing={"target": [doc("citer", "citing")]},
-            contexts={"target": [("citer", "first mention"), ("citer", "second mention")]},
-        )
-        citing, contexts = fetch_citing_with_contexts(provider, ["target"], sleep=no_sleep)
-        assert len(citing) == 1
-        assert [(c.ordinal, c.text) for c in contexts] == [(1, "first mention"), (2, "second mention")]
-
-    def test_citing_documents_tagged(self):
-        provider = ScriptedProvider(
-            citing={"t": [doc("citer", "cited")]},  # provider mislabels; op re-tags
-            contexts={"t": [("citer", "snippet")]},
-        )
-        citing, _ = fetch_citing_with_contexts(provider, ["t"], sleep=no_sleep)
-        assert citing.get("citer").set_tag == "citing"
-
-    def test_blank_contexts_dropped_and_counted(self):
-        provider = ScriptedProvider(
-            citing={"t": [doc("citer", "citing")]},
-            contexts={"t": [("citer", "  "), ("citer", "good")]},
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _, contexts = fetch_citing_with_contexts(provider, ["t"], sleep=no_sleep)
-        assert [c.text for c in contexts] == ["good"]
-        assert any("blank" in str(w.message) for w in caught)
-
-    def test_context_without_citing_document_dropped(self):
-        provider = ScriptedProvider(
-            citing={"t": [doc("citer", "citing")]},
-            contexts={"t": [("citer", "ok"), ("stranger", "who is this")]},
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            citing, contexts = fetch_citing_with_contexts(provider, ["t"], sleep=no_sleep)
-        assert {c.citing_id for c in contexts} <= set(citing.ids())
-        assert any("citing document" in str(w.message) for w in caught)
-
-    def test_reference_scale_totals(self):
-        # 59 cited / 343 citing / 428 contexts, echoed by CorpusStats
-        cited_ids = [f"c{k}" for k in range(59)]
-        citing_docs = {cid: [] for cid in cited_ids}
-        context_map = {cid: [] for cid in cited_ids}
-        for k in range(343):
-            target = cited_ids[k % 59]
-            citing_docs[target].append(doc(f"r{k}", "citing"))
-            context_map[target].append((f"r{k}", f"context {k}"))
-        for k in range(428 - 343):  # extra snippets: repeat citations
-            target = cited_ids[k % 59]
-            context_map[target].append((f"r{k}", f"repeat {k}"))
-        provider = ScriptedProvider(citing=citing_docs, contexts=context_map)
-        citing, contexts = fetch_citing_with_contexts(provider, cited_ids, sleep=no_sleep)
-        from citemap.corpus import DocumentSet
-        cited = DocumentSet([doc(cid) for cid in cited_ids])
-        stats = dataset_stats(cited, citing, contexts)
-        assert (stats.n_cited, stats.n_citing, stats.n_contexts) == (59, 343, 428)
+from citemap.corpus import Document
+from citemap.errors import ConfigError, ResponseError, TransportError
+from citemap.providers import HttpProvider, ProviderSpec
 
 
 class FakeResponse:
@@ -305,75 +149,3 @@ class TestHttpProvider:
         monkeypatch.delenv("CITEMAP_TEST_KEY_MISSING", raising=False)
         with pytest.raises(ConfigError):
             HttpProvider(spec, session=FakeSession([])).publications_page("q", 5, 0)
-
-    def test_spec_from_mapping_rejects_unknown_keys(self):
-        with pytest.raises(ConfigError):
-            ProviderSpec.from_mapping({"base_url": "x", "nonsense": 1})
-
-    @pytest.mark.parametrize("mapping", [5, [], "https://x.example", None], ids=repr)
-    def test_spec_from_mapping_rejects_non_object(self, mapping):
-        with pytest.raises(ConfigError, match="provider settings must be a JSON object"):
-            ProviderSpec.from_mapping(mapping)
-
-    @pytest.mark.parametrize("setting", [
-        {"base_url": 5},
-        {"timeout": "x"},
-        {"timeout": True},
-        {"timeout": None},
-        {"api_key_env": 3},
-        {"entities_path": None},
-        {"citing_query": ["citedBy={cited_id}"]},
-    ], ids=lambda setting: f"{next(iter(setting))}={next(iter(setting.values()))!r}")
-    def test_spec_from_mapping_rejects_value_of_wrong_type(self, setting):
-        name = next(iter(setting))
-        with pytest.raises(ConfigError, match=f"^{name} must be "):
-            ProviderSpec.from_mapping({"base_url": "https://x.example", **setting})
-
-    @pytest.mark.parametrize("timeout", [0, 0.0, -1, -0.5, float("nan"), float("inf"), 10**400],
-                             ids=["0", "0.0", "-1", "-0.5", "nan", "inf", "10**400"])
-    def test_spec_from_mapping_rejects_timeout_out_of_range(self, timeout):
-        with pytest.raises(ConfigError, match="^timeout must be finite and > 0"):
-            ProviderSpec.from_mapping({"base_url": "https://x.example", "timeout": timeout})
-
-    def test_spec_takes_int_timeout_and_null_key_env(self):
-        spec = ProviderSpec.from_mapping({"base_url": "https://x.example", "timeout": 5, "api_key_env": None})
-        assert spec.timeout == 5 and spec.api_key_env is None
-
-
-class TestFileProvider:
-    @pytest.fixture()
-    def dump(self, tmp_path):
-        from citemap.corpus import DocumentSet
-        docs = DocumentSet([
-            doc("c1", "cited", "Cited one", year=1990),
-            doc("c2", "cited", "Cited two", year=1991),
-            doc("r1", "citing", "Citer one"),
-            doc("r2", "citing", "Citer two"),
-        ])
-        contexts = [
-            ctx("r1", "c1", "r1 cites c1"),
-            ctx("r2", "c1", "r2 cites c1"),
-            ctx("r2", "c1", "r2 cites c1 again", ordinal=2),
-            ctx("r2", "c2", "r2 cites c2"),
-        ]
-        return write_corpus(tmp_path / "dump.jsonl", docs, contexts)
-
-    def test_query_filters(self, dump):
-        provider = FileProvider(dump)
-        assert [d.id for d in provider.publications_page("set_tag=cited", 10, 0)] == ["c1", "c2"]
-        assert [d.id for d in provider.publications_page("year=1991", 10, 0)] == ["c2"]
-        assert len(provider.publications_page("", 10, 0)) == 4
-
-    def test_bad_query_rejected(self, dump):
-        provider = FileProvider(dump)
-        with pytest.raises(ConfigError):
-            provider.publications_page("venue=nope", 10, 0)
-
-    def test_citing_and_contexts_linked_through_dump(self, dump):
-        provider = FileProvider(dump)
-        citing, contexts = fetch_citing_with_contexts(provider, ["c1", "c2"], page_size=2, sleep=no_sleep)
-        assert set(citing.ids()) == {"r1", "r2"}
-        assert all(d.set_tag == "citing" for d in citing)
-        pair_ordinals = [(c.citing_id, c.cited_id, c.ordinal) for c in contexts]
-        assert ("r2", "c1", 1) in pair_ordinals and ("r2", "c1", 2) in pair_ordinals
-        assert len(contexts) == 4
