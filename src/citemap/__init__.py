@@ -69,8 +69,6 @@ from .terms import (
     TextUnit,
     build_lexicon,
     extract_candidates,
-    load_thesaurus,
-    load_word_list,
     make_units,
     segment,
     strip_citation_authors,

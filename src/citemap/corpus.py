@@ -14,6 +14,7 @@ Dump format: UTF-8 JSONL, LF line endings. Each line is an object with
 
 from __future__ import annotations
 
+import io
 import json
 import warnings
 from collections import Counter
@@ -125,9 +126,6 @@ class DocumentSet:
         self._docs[doc.id] = doc
         return True
 
-    def get(self, doc_id: str) -> Document | None:
-        return self._docs.get(doc_id)
-
     def ids(self) -> tuple[str, ...]:
         return tuple(self._docs)
 
@@ -183,19 +181,23 @@ def _context_from_record(record: dict) -> CitationContext:
     return CitationContext(**{name: record[name] for name in _CTX_FIELDS if name in record})
 
 
-def load_corpus(path: str | Path) -> tuple[DocumentSet, list[CitationContext]]:
-    """Read a corpus dump and return ``(documents, contexts)`` in file order.
+def load_corpus(path: str | Path, data: bytes | None = None) -> tuple[DocumentSet, list[CitationContext]]:
+    """Parse a corpus dump and return ``(documents, contexts)`` in file order.
 
+    ``data`` is the dump's bytes, already read from ``path``; when None, the
+    file is read here. Either way ``path`` names the dump in messages.
     Duplicate document ids are deduplicated first-wins; duplicates and
     contexts referencing unknown documents each raise one CitemapWarning
     that starts ``<path>:<line>:``.
     A malformed line raises ParseError naming the line number.
     """
     path = Path(path)
+    if data is None:
+        data = path.read_bytes()
     docs = DocumentSet()
     contexts: list[CitationContext] = []
     context_lines: list[int] = []
-    with open(path, encoding="utf-8") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

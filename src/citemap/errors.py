@@ -2,9 +2,8 @@
 
 The CLI maps these onto exit codes: ConfigError -> 2; any other CitemapError,
 ValueError or OSError -> 3. A StageError takes the code of the error it wraps.
-ProviderError and its subclasses are raised only by providers.HttpProvider,
-which no subcommand uses. The CLI prints each CitemapWarning as one
-``warning: <message>`` line on stderr.
+The CLI prints each CitemapWarning as one ``warning: <message>`` line on
+stderr.
 """
 
 
@@ -22,18 +21,6 @@ class ParseError(CitemapError):
 
 class ConsistencyError(CitemapError):
     """Structures passed together do not describe the same data."""
-
-
-class ProviderError(CitemapError):
-    """A remote catalog could not be used."""
-
-
-class TransportError(ProviderError):
-    """Network-level failure; safe to retry."""
-
-
-class ResponseError(ProviderError):
-    """The provider answered, but the payload was unusable."""
 
 
 class StageError(CitemapError):

@@ -210,8 +210,10 @@ class Run:
             raise ConfigError("no corpus path configured; give one with --corpus or the config's 'corpus' key")
         corpus_path = Path(config.corpus)
         self.config = config
-        self.documents, self.contexts = _stage("ingest", load_corpus, corpus_path)
-        self.corpus_digest = _sha256(corpus_path.read_bytes())
+        # parse and digest the same bytes, as for the word lists
+        data = _stage("ingest", corpus_path.read_bytes)
+        self.documents, self.contexts = _stage("ingest", load_corpus, corpus_path, data)
+        self.corpus_digest = _sha256(data)
         self.word_lists = _stage("ingest", _resolve_word_lists, config)
 
     @cached_property

@@ -30,7 +30,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import CitationContext, Document, DocumentSet
@@ -316,12 +315,7 @@ def parse_word_list(text: str) -> list[str]:
     return entries
 
 
-def load_word_list(path: str | Path) -> list[str]:
-    """Read a word-list file (see ``parse_word_list``)."""
-    return parse_word_list(Path(path).read_text(encoding="utf-8"))
-
-
-def parse_thesaurus(text: str, source: str | Path | None) -> dict[str, str]:
+def parse_thesaurus(text: str, source: str | None) -> dict[str, str]:
     """Two-column TSV thesaurus entries, variant<TAB>canonical; errors name ``source``."""
     mapping: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -332,8 +326,3 @@ def parse_thesaurus(text: str, source: str | Path | None) -> dict[str, str]:
             raise ParseError(f"{source}:{lineno}: expected 'variant<TAB>canonical'")
         mapping[parts[0].strip().lower()] = parts[1].strip().lower()
     return mapping
-
-
-def load_thesaurus(path: str | Path) -> dict[str, str]:
-    """Read a two-column TSV thesaurus file (see ``parse_thesaurus``)."""
-    return parse_thesaurus(Path(path).read_text(encoding="utf-8"), path)

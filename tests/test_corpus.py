@@ -95,7 +95,7 @@ class TestDocumentSet:
         ds = DocumentSet()
         ds.add(doc("a", title="first"))
         assert not ds.add(doc("a", title="second"))
-        assert ds.get("a").title == "first"
+        assert [d.title for d in ds] == ["first"]
 
     def test_filter_tag(self):
         ds = DocumentSet([doc("a", "cited"), doc("b", "citing"), doc("c", "cited")])
@@ -142,8 +142,7 @@ class TestLoadCorpus:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             docs, _ = load_corpus(path)
-        assert len(docs) == 1
-        assert docs.get("a").title == "First"
+        assert [(d.id, d.title) for d in docs] == [("a", "First")]
         assert sum(issubclass(w.category, CitemapWarning) for w in caught) == 1
 
     def test_malformed_json_names_line(self, tmp_path):
@@ -172,7 +171,7 @@ class TestLoadCorpus:
         path = tmp_path / "null.jsonl"
         write_lines(path, [{"kind": "document", "id": "a", "title": None, "set_tag": "cited"}])
         docs, _ = load_corpus(path)
-        assert docs.get("a").title == ""
+        assert [(d.id, d.title) for d in docs] == [("a", "")]
 
     def test_unknown_kind_names_line(self, tmp_path):
         path = tmp_path / "kind.jsonl"

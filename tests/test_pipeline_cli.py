@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -24,6 +25,7 @@ from citemap.network import count_cooccurrences, relevance_scores, select_top_te
 from citemap.pipeline import (
     OUTPUT_NAMES,
     PipelineConfig,
+    Run,
     analyze,
     builtin_corpus_path,
     compare_networks,
@@ -185,6 +187,26 @@ class TestRunPipeline:
         with pytest.raises(ConfigError):
             analyze(PipelineConfig(corpus=None, out_dir=str(tmp_path)))
 
+    def test_run_reads_its_corpus_once(self, demo_corpus, tmp_path):
+        # the manifest's corpus_sha256 names the bytes parsed only if both come from one read
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(demo_corpus.read_bytes())
+        opens = []
+        listening = True
+
+        def count_opens(event, args):  # an audit hook cannot be removed; this one goes quiet after the run
+            if listening and event == "open" and isinstance(args[0], (str, os.PathLike)):
+                if os.fspath(args[0]) == str(corpus):
+                    opens.append(args[1])
+
+        sys.addaudithook(count_opens)
+        try:
+            run = Run(PipelineConfig(corpus=str(corpus)))
+        finally:
+            listening = False
+        assert len(opens) == 1
+        assert run.corpus_digest == hashlib.sha256(corpus.read_bytes()).hexdigest()
+
     def test_mode_and_set_validation(self, demo_corpus, tmp_path):
         with pytest.raises(ConfigError):
             demo_config(demo_corpus, tmp_path, mode="full-text").validate()
@@ -326,8 +348,11 @@ class TestCli:
 
     def test_input_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"
-        code = main(["pipeline", "--corpus", str(missing), "--out", str(tmp_path / "out")])
-        assert code == 3
+        for command in ("ingest", "pipeline"):
+            assert main([command, "--corpus", str(missing), "--out", str(tmp_path / "out")]) == 3
+            assert capsys.readouterr().err == (f"error: stage 'ingest' failed: [Errno 2] "
+                                               f"No such file or directory: '{missing}'\n")
+        assert not (tmp_path / "out").exists()
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -452,17 +477,29 @@ class TestImportHygiene:
         assert imported.MAX_LAYOUT_TERMS == 5000
         assert citemap.layout is imported
 
-    def test_cli_import_loads_no_http_stack(self):
+    @staticmethod
+    def run_fresh(probe: str) -> subprocess.CompletedProcess:
         # a fresh interpreter per import, so that nothing this test process has loaded counts
         src = str(Path(citemap.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+
+    def test_cli_import_loads_no_http_stack(self):
         for module in ("citemap.cli", "citemap"):
             probe = (f"import json, sys, {module}; "
                      "print(json.dumps([m for m in ('requests', 'urllib.request', 'http.client', 'xml.sax') "
                      "if m in sys.modules]))")
-            result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                                    timeout=60, check=True)
+            result = self.run_fresh(probe)
+            assert result.returncode == 0, (module, result.stderr)
             assert json.loads(result.stdout) == [], module
+
+    def test_every_module_imports_with_the_http_client_blocked(self):
+        # a module that imports the blocked HTTP client fails to import
+        modules = [f"citemap.{info.name}" for info in pkgutil.iter_modules(citemap.__path__)]
+        assert {"citemap.cli", "citemap.corpus", "citemap.pipeline"} <= set(modules)
+        for module in modules:
+            result = self.run_fresh(f"import sys; sys.modules['requests'] = None; import {module}")
+            assert result.returncode == 0, (module, result.stderr)
 
     def test_every_exported_name_resolves(self):
         for name in citemap.__all__:

@@ -5,15 +5,14 @@ from __future__ import annotations
 import random
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import citemap
 from citemap.errors import ConfigError, ConsistencyError
 from citemap.network import count_cooccurrences, relevance_scores, select_top_terms
+from citemap.pipeline import PipelineConfig, _resolve_word_lists
 from citemap.terms import (
     ABBREVIATION_GUARDS,
     CITATION_CONTEXT,
@@ -21,8 +20,6 @@ from citemap.terms import (
     TITLE_ABSTRACT,
     build_lexicon,
     extract_candidates,
-    load_thesaurus,
-    load_word_list,
     make_units,
     resolve_thesaurus,
     _guarded,
@@ -400,15 +397,16 @@ class TestLexiconProperties:
 
 
 class TestWordListFiles:
+    # a run reads its word lists through the pipeline, which parses and digests the same bytes
     def test_load_word_list(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_text("# comment\nthe\nof  # trailing\n\nAnd\n", encoding="utf-8")
-        assert load_word_list(path) == ["the", "of", "and"]
+        assert _resolve_word_lists(PipelineConfig(stoplist=str(path))).stoplist == {"the", "of", "and"}
 
     def test_load_thesaurus(self, tmp_path):
         path = tmp_path / "thes.tsv"
         path.write_text("JIF\tjournal impact factor\nsci\tscience citation index\n", encoding="utf-8")
-        mapping = load_thesaurus(path)
+        mapping = _resolve_word_lists(PipelineConfig(thesaurus=str(path))).thesaurus
         assert mapping["jif"] == "journal impact factor"
 
     def test_malformed_thesaurus(self, tmp_path):
@@ -416,13 +414,13 @@ class TestWordListFiles:
         path.write_text("only-one-column\n", encoding="utf-8")
         from citemap.errors import ParseError
         with pytest.raises(ParseError, match=":1:"):
-            load_thesaurus(path)
+            _resolve_word_lists(PipelineConfig(thesaurus=str(path)))
 
     def test_resolve_thesaurus_chains(self):
         resolved = resolve_thesaurus({"a": "b", "b": "c"})
         assert resolved == {"a": "c", "b": "c"}
 
     def test_defaults_load(self):
-        data = Path(citemap.__file__).parent / "data"
-        assert {"the", "of", "and", "et", "al"} <= set(load_word_list(data / "stoplist.txt"))
-        assert "practical implications" in load_word_list(data / "exclusions.txt")
+        words = _resolve_word_lists(PipelineConfig())
+        assert {"the", "of", "and", "et", "al"} <= words.stoplist
+        assert "practical implications" in words.exclusions
