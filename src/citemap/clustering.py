@@ -63,7 +63,7 @@ def quality(sim: SimilarityMatrix, clustering: Clustering | Sequence[int], resol
     if len(labels) != n:
         raise ConsistencyError(f"{len(labels)} labels for {n} terms")
     edge_part = 0.0
-    for (i, j), s in sorted(sim.strengths.items()):
+    for (i, j), s in sim.strengths.items():
         if labels[i] == labels[j]:
             edge_part += s
     sizes: dict[int, int] = {}
@@ -348,7 +348,7 @@ def cluster(sim: SimilarityMatrix, resolution: float = 1.0, seed: int = 42, rest
     if restarts < 1:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
     adj: _Rows = [[] for _ in range(n)]
-    for (i, j), s in sorted(sim.strengths.items()):  # pair order keeps every row ascending
+    for (i, j), s in sim.strengths.items():  # pair order keeps every row ascending
         adj[i].append((j, s))
         adj[j].append((i, s))
 

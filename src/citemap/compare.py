@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .clustering import Clustering
 from .errors import ConsistencyError
@@ -89,23 +90,12 @@ def triplet_report(cited: CoocNetwork, citing: CoocNetwork, context: CoocNetwork
     for label, net in nets.items():
         if not net.terms:
             raise ValueError(f"{label} network is empty")
-    jaccard: dict[str, dict[str, float]] = {}
-    cosine: dict[str, dict[str, float]] = {}
-    for a in TRIPLET_LABELS:
-        jaccard[a] = {}
-        cosine[a] = {}
-        for b in TRIPLET_LABELS:
-            if a == b:
-                jaccard[a][b] = 1.0
-                cosine[a][b] = 1.0
-            elif b in jaccard and a in jaccard[b]:
-                jaccard[a][b] = jaccard[b][a]
-                cosine[a][b] = cosine[b][a]
-            else:
-                jaccard[a][b] = term_set_similarity(nets[a], nets[b])
-                cosine[a][b] = weighted_profile_similarity(nets[a], nets[b])
+    jaccard = {a: {a: 1.0} for a in TRIPLET_LABELS}
+    cosine = {a: {a: 1.0} for a in TRIPLET_LABELS}
     shared: dict[str, tuple[str, ...]] = {}
-    for a, b in (("cited", "citing"), ("cited", "context"), ("citing", "context")):
+    for a, b in combinations(TRIPLET_LABELS, 2):
+        jaccard[a][b] = jaccard[b][a] = term_set_similarity(nets[a], nets[b])
+        cosine[a][b] = cosine[b][a] = weighted_profile_similarity(nets[a], nets[b])
         shared[f"{a}|{b}"] = tuple(sorted(set(nets[a].term_strings) & set(nets[b].term_strings)))
     ordering = {
         "jaccard": jaccard["cited"]["context"] > jaccard["citing"]["context"],

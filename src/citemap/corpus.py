@@ -186,9 +186,10 @@ def load_corpus(path: str | Path, data: bytes | None = None) -> tuple[DocumentSe
 
     ``data`` is the dump's bytes, already read from ``path``; when None, the
     file is read here. Either way ``path`` names the dump in messages.
-    Duplicate document ids are deduplicated first-wins; duplicates and
-    contexts referencing unknown documents each raise one CitemapWarning
-    that starts ``<path>:<line>:``.
+    Duplicate document ids, and duplicate contexts (same citing_id, cited_id
+    and ordinal), are deduplicated first-wins; duplicates and contexts
+    referencing unknown documents each raise one CitemapWarning that starts
+    ``<path>:<line>:``.
     A malformed line raises ParseError naming the line number.
     """
     path = Path(path)
@@ -197,6 +198,7 @@ def load_corpus(path: str | Path, data: bytes | None = None) -> tuple[DocumentSe
     docs = DocumentSet()
     contexts: list[CitationContext] = []
     context_lines: list[int] = []
+    context_keys: set[tuple[str, str, int]] = set()
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -214,8 +216,15 @@ def load_corpus(path: str | Path, data: bytes | None = None) -> tuple[DocumentSe
                     if not docs.add(doc):
                         warnings.warn(f"{path}:{lineno}: duplicate document id {doc.id!r} ignored", CitemapWarning, stacklevel=2)
                 elif kind == "context":
-                    contexts.append(_context_from_record(record))
-                    context_lines.append(lineno)
+                    ctx = _context_from_record(record)
+                    key = (ctx.citing_id, ctx.cited_id, ctx.ordinal)
+                    if key in context_keys:
+                        warnings.warn(f"{path}:{lineno}: duplicate context ({ctx.citing_id!r} -> {ctx.cited_id!r} "
+                                      f"#{ctx.ordinal}) ignored", CitemapWarning, stacklevel=2)
+                    else:
+                        context_keys.add(key)
+                        contexts.append(ctx)
+                        context_lines.append(lineno)
                 else:
                     raise ValueError(f"unknown kind {kind!r}")
             except (ValueError, TypeError) as exc:

@@ -33,5 +33,5 @@ class StageError(CitemapError):
 
 
 class CitemapWarning(UserWarning):
-    """Non-fatal data quality issue (duplicates, dangling links, isolates)."""
+    """Non-fatal corpus data issue: a duplicate document id or context, or a dangling context link."""
 

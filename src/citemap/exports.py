@@ -114,7 +114,7 @@ def export_network(net: CoocNetwork, path: str | Path) -> Path:
     Rows are ``i<TAB>j<TAB>c_ij`` with 1-based indices, i < j, sorted; an
     empty edge set produces an empty file.
     """
-    return write_lines(path, [f"{i + 1}\t{j + 1}\t{c}" for (i, j), c in sorted(net.edges.items())])
+    return write_lines(path, [f"{i + 1}\t{j + 1}\t{c}" for (i, j), c in net.edges.items()])
 
 
 def export_terms(net: CoocNetwork, path: str | Path) -> Path:
@@ -160,7 +160,7 @@ def export_graph_json(net: CoocNetwork, sim: SimilarityMatrix, layout: MapLayout
     nodes = [asdict(record) for record in map_records(layout, net, clustering, sim)]
     edges = [
         {"source": i + 1, "target": j + 1, "cooccurrences": c, "strength": sim.strengths[(i, j)]}
-        for (i, j), c in sorted(net.edges.items())
+        for (i, j), c in net.edges.items()
     ]
     return write_json(path, {"nodes": nodes, "edges": edges})
 

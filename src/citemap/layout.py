@@ -48,7 +48,7 @@ def layout_objective(sim: SimilarityMatrix, positions: Sequence[Sequence[float]]
     if len(positions) != len(sim.terms):
         raise ConsistencyError(f"{len(positions)} positions for {len(sim.terms)} terms")
     value = 0.0
-    for (i, j), s in sorted(sim.strengths.items()):
+    for (i, j), s in sim.strengths.items():
         dx = positions[i][0] - positions[j][0]
         dy = positions[i][1] - positions[j][1]
         value += s * (dx * dx + dy * dy)
@@ -95,14 +95,13 @@ def _edge_objective(y: np.ndarray, ei: np.ndarray, ej: np.ndarray, es: np.ndarra
     return float((es * diff.sum(axis=1)).sum())
 
 
-def _optimize(strengths: dict[tuple[int, int], float], n: int, seed: int, max_iter: int, tol: float,
+def _optimize(sim: SimilarityMatrix, seed: int, max_iter: int, tol: float,
               trace: list[float] | None) -> tuple[np.ndarray, float, bool, int]:
-    pairs = sorted(strengths)
-    ei, ej = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    es = np.array([strengths[pair] for pair in pairs])
+    n = len(sim.terms)
+    ei, ej = np.array(list(sim.strengths), dtype=np.intp).reshape(-1, 2).T
+    es = np.array(list(sim.strengths.values()))
     laplacian = np.zeros((n, n))
-    for i, j in pairs:
-        s = strengths[i, j]
+    for (i, j), s in sim.strengths.items():
         laplacian[i, j] -= s
         laplacian[j, i] -= s
         laplacian[i, i] += s
@@ -144,9 +143,10 @@ def _optimize(strengths: dict[tuple[int, int], float], n: int, seed: int, max_it
     return x, value, converged, iterations
 
 
-def _components(n: int, strengths: dict[tuple[int, int], float]) -> list[list[int]]:
+def _components(sim: SimilarityMatrix) -> list[list[int]]:
+    n = len(sim.terms)
     adjacency: list[list[int]] = [[] for _ in range(n)]
-    for i, j in strengths:
+    for i, j in sim.strengths:
         adjacency[i].append(j)
         adjacency[j].append(i)
     seen = [False] * n
@@ -159,7 +159,7 @@ def _components(n: int, strengths: dict[tuple[int, int], float]) -> list[list[in
         while stack:
             v = stack.pop()
             members.append(v)
-            for u in sorted(adjacency[v]):
+            for u in adjacency[v]:  # ascending: the pairs come in pair order
                 if not seen[u]:
                     seen[u] = True
                     stack.append(u)
@@ -190,18 +190,15 @@ def layout(
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     if not tol >= 0:
         raise ConfigError(f"tol must be >= 0, got {tol}")
-    for pair, s in sim.strengths.items():
-        if not math.isfinite(s):
-            raise ValueError(f"non-finite similarity {s!r} on pair {pair}")
     if n == 1:
         return MapLayout(((0.0, 0.0),), 0.0, True, 0)
     if n > MAX_LAYOUT_TERMS:
         raise ConfigError(f"cannot lay out {n} terms, the limit is {MAX_LAYOUT_TERMS}; "
                           "raise --min-occurrences to keep fewer terms")
 
-    components = _components(n, sim.strengths)
+    components = _components(sim)
     if len(components) == 1:
-        x, value, converged, iterations = _optimize(sim.strengths, n, seed, max_iter, tol, trace)
+        x, value, converged, iterations = _optimize(sim, seed, max_iter, tol, trace)
         return MapLayout(tuple((float(px), float(py)) for px, py in x), value, converged, iterations)
 
     # lay out each component independently, then place on a grid
@@ -209,14 +206,15 @@ def layout(
     extents = []
     sub_results = []
     for members in components:
-        local = {member: k for k, member in enumerate(members)}
-        local_strengths = {
-            (local[i], local[j]): s for (i, j), s in sorted(sim.strengths.items()) if i in local and j in local
-        }
         if len(members) == 1:
             sub = (np.zeros((1, 2)), 0.0, True, 0)
         else:
-            sub = _optimize(local_strengths, len(members), seed, max_iter, tol, None)
+            local = {member: k for k, member in enumerate(members)}
+            local_sim = SimilarityMatrix(
+                tuple(sim.terms[member] for member in members),
+                {(local[i], local[j]): s for (i, j), s in sim.strengths.items() if i in local and j in local},
+            )
+            sub = _optimize(local_sim, seed, max_iter, tol, None)
         sub_results.append((members, sub))
         coords = sub[0]
         width = float(coords[:, 0].max() - coords[:, 0].min()) if len(members) > 1 else 0.0

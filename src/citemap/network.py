@@ -6,18 +6,23 @@ strength normalizes a count by both node strengths so that the expected
 value under independent attachment is 1; relevance scores a term by how far
 its co-occurrence profile diverges from the background strength
 distribution, so generic terms score near 0.
+
+Both network types own their pairs: each stores its pairs (i, j) with
+0 <= i < j < n, iterating in ascending pair order whatever order they were
+given in, so no consumer re-sorts them. A similarity matrix keeps every
+term of its network, isolated ones included; the pipeline's relevance cut
+is what leaves terms without an edge off a map.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import CitemapWarning, ConfigError, ConsistencyError
+from .errors import ConfigError, ConsistencyError
 from .terms import Lexicon, TextUnit
 
 BINARY = "binary"
@@ -33,18 +38,17 @@ class TermNode:
 
 @dataclass(frozen=True)
 class CoocNetwork:
-    """Symmetric co-occurrence network; each unordered pair stored once."""
+    """Symmetric co-occurrence network; each unordered pair stored once, in pair order."""
 
     terms: tuple[TermNode, ...]
     edges: dict[tuple[int, int], int]
 
     def __post_init__(self) -> None:
-        n = len(self.terms)
-        for (i, j), count in self.edges.items():
-            if not (0 <= i < j < n):
-                raise ConsistencyError(f"edge ({i}, {j}) is not an ordered pair of term indices")
+        object.__setattr__(self, "edges", dict(sorted(self.edges.items())))
+        _check_pairs(self.edges, len(self.terms))
+        for pair, count in self.edges.items():
             if count <= 0:
-                raise ConsistencyError(f"edge ({i}, {j}) has non-positive count {count}")
+                raise ConsistencyError(f"edge {pair} has non-positive count {count}")
 
     @property
     def term_strings(self) -> tuple[str, ...]:
@@ -65,7 +69,7 @@ class CoocNetwork:
         terms = tuple(self.terms[i] for i in indices)
         edges = {
             (remap[i], remap[j]): c
-            for (i, j), c in sorted(self.edges.items())
+            for (i, j), c in self.edges.items()
             if i in remap and j in remap
         }
         return CoocNetwork(terms, edges)
@@ -73,10 +77,24 @@ class CoocNetwork:
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Association strengths for every co-occurring pair."""
+    """Association strengths for every co-occurring pair, stored in pair order; all finite."""
 
     terms: tuple[str, ...]
     strengths: dict[tuple[int, int], float]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "strengths", dict(sorted(self.strengths.items())))
+        _check_pairs(self.strengths, len(self.terms))
+        for pair, s in self.strengths.items():
+            if not math.isfinite(s):
+                raise ValueError(f"non-finite similarity {s!r} on pair {pair}")
+
+
+def _check_pairs(pairs: Iterable[tuple[int, int]], n: int) -> None:
+    """Raise ConsistencyError unless every pair (i, j) has 0 <= i < j < n."""
+    for i, j in pairs:
+        if not (0 <= i < j < n):
+            raise ConsistencyError(f"pair ({i}, {j}) is not an ordered pair of term indices")
 
 
 def count_cooccurrences(units: Sequence[TextUnit], lexicon: Lexicon, counting: str = BINARY) -> CoocNetwork:
@@ -106,33 +124,23 @@ def count_cooccurrences(units: Sequence[TextUnit], lexicon: Lexicon, counting: s
         for (i, times_i), (j, times_j) in combinations(present, 2):
             weight = 1 if counting == BINARY else min(times_i, times_j)
             edges[(i, j)] = edges.get((i, j), 0) + weight
-    return CoocNetwork(terms, dict(sorted(edges.items())))
+    return CoocNetwork(terms, edges)
 
 
 def association_strength(net: CoocNetwork) -> SimilarityMatrix:
-    """s_ij = 2*T*c_ij / (w_i*w_j); isolated terms are excluded with a warning.
+    """s_ij = 2*T*c_ij / (w_i*w_j) for every edge, over all of the network's terms.
 
-    Computed from integers before a single float division, so scaling all
-    counts by a constant leaves every strength bit-identical.
+    T is the total count and w_i the node strength. An isolated term keeps
+    its index and simply has no pair. Computed from integers before a single
+    float division, so scaling all counts by a constant leaves every
+    strength bit-identical.
     """
     if not net.edges:
         raise ValueError("association strength needs at least one edge")
     w = net.node_strengths()
     total = sum(net.edges.values())
-    isolated = [i for i, weight in enumerate(w) if weight == 0]
-    if isolated:
-        names = [net.terms[i].term for i in isolated]
-        warnings.warn(f"excluding {len(isolated)} isolated term(s) from similarity matrix: {names}", CitemapWarning, stacklevel=2)
-    keep = [i for i in range(len(net.terms)) if w[i] > 0]
-    remap = {old: new for new, old in enumerate(keep)}
-    strengths = {
-        (remap[i], remap[j]): (2 * total * c) / (w[i] * w[j])
-        for (i, j), c in sorted(net.edges.items())
-    }
-    return SimilarityMatrix(
-        terms=tuple(net.terms[i].term for i in keep),
-        strengths=strengths,
-    )
+    strengths = {(i, j): (2 * total * c) / (w[i] * w[j]) for (i, j), c in net.edges.items()}
+    return SimilarityMatrix(net.term_strings, strengths)
 
 
 def profile_divergence(profile: dict[int, float], background: dict[int, float]) -> float:

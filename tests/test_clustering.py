@@ -119,6 +119,10 @@ class TestClusterDegenerate:
         with pytest.raises(ValueError):
             cluster(sim(0, {}), resolution=1.0)
 
+    def test_nan_strength_rejected(self):
+        with pytest.raises(ValueError, match="non-finite similarity nan on pair"):
+            cluster(sim(3, {(0, 1): 1.0, (1, 2): math.nan}), resolution=1.0)
+
     def test_parameter_validation(self):
         s = sim(2, {(0, 1): 1.0})
         with pytest.raises(ConfigError):

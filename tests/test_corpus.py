@@ -145,6 +145,22 @@ class TestLoadCorpus:
         assert [(d.id, d.title) for d in docs] == [("a", "First")]
         assert sum(issubclass(w.category, CitemapWarning) for w in caught) == 1
 
+    def test_duplicate_context_first_wins_and_warns(self, tmp_path):
+        path = tmp_path / "dupctx.jsonl"
+        write_lines(path, [
+            {"kind": "document", "id": "a", "title": "One", "set_tag": "cited"},
+            {"kind": "document", "id": "b", "title": "Two", "set_tag": "citing"},
+            {"kind": "context", "citing_id": "b", "cited_id": "a", "text": "first", "ordinal": 1},
+            {"kind": "context", "citing_id": "b", "cited_id": "a", "text": "again", "ordinal": 1},
+            {"kind": "context", "citing_id": "b", "cited_id": "a", "text": "second", "ordinal": 2},
+        ])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, contexts = load_corpus(path)
+        assert [(c.text, c.ordinal) for c in contexts] == [("first", 1), ("second", 2)]
+        assert [str(w.message) for w in caught] == [f"{path}:4: duplicate context ('b' -> 'a' #1) ignored"]
+        assert all(issubclass(w.category, CitemapWarning) for w in caught)
+
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "document", "id": "a", "title": "x", "set_tag": "cited"}\n{nope\n', encoding="utf-8")

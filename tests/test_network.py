@@ -11,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citemap.errors import CitemapWarning, ConfigError, ConsistencyError
+from citemap.errors import ConfigError, ConsistencyError
 from citemap.network import (
+    CoocNetwork,
+    SimilarityMatrix,
+    TermNode,
     association_strength,
     count_cooccurrences,
     profile_divergence,
@@ -143,13 +146,14 @@ class TestAssociationStrength:
         s2 = association_strength(scaled).strengths
         assert s1 == s2  # bit-identical floats
 
-    def test_isolated_node_excluded_with_warning(self):
-        net = network({"a": 1, "b": 1, "island": 1}, {(0, 1): 1})
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+    def test_isolated_term_kept_without_warning(self):
+        # leaving isolated terms off a map is the pipeline's relevance cut, not this formula
+        net = network({"a": 1, "island": 1, "b": 1}, {(0, 2): 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             sim = association_strength(net)
-        assert sim.terms == ("a", "b")
-        assert any(issubclass(w.category, CitemapWarning) for w in caught)
+        assert sim.terms == ("a", "island", "b")
+        assert sim.strengths == {(0, 2): 2.0}
 
     def test_no_edges_rejected(self):
         with pytest.raises(ValueError):
@@ -159,6 +163,29 @@ class TestAssociationStrength:
         net = network({"a": 2, "b": 2, "c": 2}, {(0, 1): 2, (1, 2): 1})
         sim = association_strength(net)
         assert all(i < j for (i, j) in sim.strengths)
+
+
+class TestNetworkTypes:
+    def test_network_edges_iterate_in_pair_order(self):
+        net = network({t: 1 for t in "abcd"}, {(2, 3): 1, (0, 3): 2, (1, 2): 3, (0, 1): 4})
+        assert list(net.edges) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+
+    def test_similarity_strengths_iterate_in_pair_order(self):
+        s = SimilarityMatrix(("a", "b", "c", "d"), {(2, 3): 0.5, (0, 3): 1.0, (1, 2): 1.5, (0, 1): 2.0})
+        assert list(s.strengths) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+        assert s.strengths[(1, 2)] == 1.5
+
+    @pytest.mark.parametrize("pair", [(1, 0), (1, 1), (-1, 1), (0, 3)])
+    def test_pair_out_of_order_or_range_is_consistency_error(self, pair):
+        with pytest.raises(ConsistencyError, match="not an ordered pair"):
+            SimilarityMatrix(("a", "b", "c"), {(0, 1): 1.0, pair: 1.0})
+        with pytest.raises(ConsistencyError, match="not an ordered pair"):
+            CoocNetwork(tuple(TermNode(t, 1) for t in "abc"), {(0, 1): 1, pair: 1})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_strength_rejected(self, value):
+        with pytest.raises(ValueError, match="non-finite similarity"):
+            SimilarityMatrix(("a", "b", "c"), {(0, 1): 1.0, (1, 2): value})
 
 
 class TestRelevanceScores:
@@ -307,6 +334,4 @@ class TestNetworkProperties:
     def test_association_scale_invariance_property(self, edges, k):
         net = network({f"t{i}": 9 for i in range(6)}, edges)
         scaled = network({f"t{i}": 9 for i in range(6)}, {p: c * k for p, c in edges.items()})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert association_strength(net).strengths == association_strength(scaled).strengths
+        assert association_strength(net).strengths == association_strength(scaled).strengths

@@ -392,6 +392,21 @@ class TestCli:
                                            "references unknown document(s) ['zz']\n")
         assert warnings.showwarning is hook
 
+    def test_duplicate_context_ignored_with_one_warning(self, planted_corpus, tmp_path, capsys):
+        lines = planted_corpus.read_text(encoding="utf-8").splitlines()
+        first = json.loads(next(line for line in lines if '"context"' in line))
+        corpus = tmp_path / "planted.jsonl"
+        corpus.write_text("\n".join([*lines, json.dumps({**first, "text": "a second snippet"})]) + "\n",
+                          encoding="utf-8")
+        assert main(["ingest", "--corpus", str(corpus), "--out", str(tmp_path / "ingest")]) == 0
+        assert capsys.readouterr().err == (f"warning: {corpus}:{len(lines) + 1}: duplicate context "
+                                           f"({first['citing_id']!r} -> {first['cited_id']!r} #1) ignored\n")
+        stats = json.loads((tmp_path / "ingest" / "corpus_stats.json").read_text())
+        assert stats["n_contexts"] == sum('"context"' in line for line in lines)
+        assert main(["compare", "--corpus", str(corpus), "--out", str(tmp_path / "compare")]) == 0
+        report = json.loads((tmp_path / "compare" / "comparison.json").read_text())
+        assert report["ordering_holds"] == {"jaccard": True, "cosine": True}
+
     @pytest.mark.parametrize("command, corpus_name, name", [
         ("ingest", "demo", "corpus_stats.json"),
         ("extract", "demo", "lexicon.tsv"),

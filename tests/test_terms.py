@@ -250,6 +250,11 @@ class TestMakeUnits:
         assert len(units) == 428
         assert len({u.unit_id for u in units}) == 428
 
+    def test_two_contexts_with_one_key_rejected(self):
+        contexts = [ctx("r", "c", "first snippet"), ctx("r", "c", "second snippet")]
+        with pytest.raises(ConsistencyError, match="duplicate unit id 'r::c::1'"):
+            make_units(contexts, CITATION_CONTEXT)
+
     def test_mode_mismatch(self):
         with pytest.raises(ConsistencyError):
             make_units([doc("a")], CITATION_CONTEXT)
@@ -262,6 +267,10 @@ class TestMakeUnits:
 
 
 class TestBuildLexicon:
+    def test_duplicate_unit_id_rejected(self):
+        with pytest.raises(ConsistencyError, match="duplicate unit id 'u1'"):
+            build_lexicon([unit("u1", "impact factor"), unit("u1", "impact factor")], min_occurrences=1)
+
     def test_below_threshold_absent(self):
         units = [unit(f"u{k}", "citation analysis works") for k in range(3)]
         lexicon = build_lexicon(units, min_occurrences=4)
