@@ -66,7 +66,6 @@ from .terms import (
     CITATION_CONTEXT,
     TITLE_ABSTRACT,
     Lexicon,
-    TextUnit,
     build_lexicon,
     extract_candidates,
     make_units,

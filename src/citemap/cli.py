@@ -34,28 +34,31 @@ from .errors import CitemapError, CitemapWarning, ConfigError, StageError
 from .exports import write_json
 from .network import COUNTINGS, top_count
 from .pipeline import DOC_SETS, MODES, PipelineConfig, Run, compare_networks, run_pipeline, write_files, write_outputs
+from .terms import TITLE_ABSTRACT
 
 
 def _settings_parser() -> argparse.ArgumentParser:
+    default = PipelineConfig()
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("pipeline settings")
     group.add_argument("--config", help="JSON config file (or a previous run's manifest)")
     group.add_argument("--corpus", help="corpus dump (JSONL)")
     group.add_argument("--mode", choices=MODES,
-                       help="unit mode (default title-abstract)")
+                       help=f"unit mode (default {default.mode})")
     group.add_argument("--set", dest="doc_set", choices=DOC_SETS,
-                       help="document set for title-abstract mode (default cited)")
-    group.add_argument("--min-occurrences", dest="min_occurrences", type=int, help="term frequency threshold (default 4)")
-    group.add_argument("--counting", choices=COUNTINGS, help="co-occurrence counting (default binary)")
+                       help=f"document set for {TITLE_ABSTRACT} mode (default {default.doc_set})")
+    group.add_argument("--min-occurrences", dest="min_occurrences", type=int,
+                       help=f"term frequency threshold (default {default.min_occurrences})")
+    group.add_argument("--counting", choices=COUNTINGS, help=f"co-occurrence counting (default {default.counting})")
     group.add_argument("--relevance-fraction", dest="relevance_fraction", type=float,
-                       help="fraction of most relevant terms kept (default 0.6)")
-    group.add_argument("--resolution", type=float, help="clustering resolution (default 1.0)")
-    group.add_argument("--seed", type=int, help="random seed (default 42)")
-    group.add_argument("--restarts", type=int, help="clustering restarts (default 10)")
+                       help=f"fraction of most relevant terms kept (default {default.relevance_fraction})")
+    group.add_argument("--resolution", type=float, help=f"clustering resolution (default {default.resolution})")
+    group.add_argument("--seed", type=int, help=f"random seed (default {default.seed})")
+    group.add_argument("--restarts", type=int, help=f"clustering restarts (default {default.restarts})")
     group.add_argument("--stoplist", help="stoplist file (default: bundled)")
     group.add_argument("--exclusions", help="exclusion list file (default: bundled)")
     group.add_argument("--thesaurus", help="thesaurus TSV (variant<TAB>canonical)")
-    group.add_argument("--out", dest="out_dir", help="output directory (default out)")
+    group.add_argument("--out", dest="out_dir", help=f"output directory (default {default.out_dir})")
     return parent
 
 

@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, ConsistencyError
-from .terms import Lexicon, TextUnit
+from .terms import Lexicon
 
 BINARY = "binary"
 FULL = "full"
@@ -97,30 +97,29 @@ def _check_pairs(pairs: Iterable[tuple[int, int]], n: int) -> None:
             raise ConsistencyError(f"pair ({i}, {j}) is not an ordered pair of term indices")
 
 
-def count_cooccurrences(units: Sequence[TextUnit], lexicon: Lexicon, counting: str = BINARY) -> CoocNetwork:
+def count_cooccurrences(units: Sequence[str], lexicon: Lexicon, counting: str = BINARY) -> CoocNetwork:
     """Build the co-occurrence network of the lexicon's terms over the units.
 
     Binary counting adds 1 per unit containing both terms; full counting
     adds min(times_i, times_j) per unit. The lexicon must have been built
-    from the same units.
+    from the same units: its entries refer to a unit by its position in
+    ``units``, and only the number of units is read here.
     """
     if counting not in COUNTINGS:
         raise ConfigError(f"counting must be '{BINARY}' or '{FULL}', got {counting!r}")
-    unit_order = [u.unit_id for u in units]
-    known_ids = set(unit_order)
     terms = tuple(TermNode(e.term, e.occurrence_count) for e in lexicon)
-    unit_terms: dict[str, list[tuple[int, int]]] = {}
+    # one slot per unit, filled in lexicon-index order, so each is ascending
+    unit_terms: list[list[tuple[int, int]]] = [[] for _ in units]
     for index, entry in enumerate(lexicon):
         if not entry.unit_counts:
             raise ConsistencyError(f"term {entry.term!r} is in the lexicon but matched no unit")
-        stray = sorted(set(entry.unit_counts) - known_ids)
+        stray = [u for u in entry.unit_counts if not 0 <= u < len(units)]
         if stray:
-            raise ConsistencyError(f"term {entry.term!r} counts unknown unit(s) {stray}")
-        for unit_id, times in entry.unit_counts.items():
-            unit_terms.setdefault(unit_id, []).append((index, times))
+            raise ConsistencyError(f"term {entry.term!r} counts unit position(s) {stray} outside 0..{len(units) - 1}")
+        for position, times in entry.unit_counts.items():
+            unit_terms[position].append((index, times))
     edges: dict[tuple[int, int], int] = {}
-    for unit_id in unit_order:
-        present = sorted(unit_terms.get(unit_id, ()))
+    for present in unit_terms:
         for (i, times_i), (j, times_j) in combinations(present, 2):
             weight = 1 if counting == BINARY else min(times_i, times_j)
             edges[(i, j)] = edges.get((i, j), 0) + weight

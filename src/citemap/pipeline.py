@@ -47,14 +47,13 @@ from .terms import (
     CITATION_CONTEXT,
     TITLE_ABSTRACT,
     Lexicon,
-    TextUnit,
     build_lexicon,
     make_units,
     parse_thesaurus,
     parse_word_list,
 )
 
-MODES = ("title-abstract", "citation-context")
+MODES = (TITLE_ABSTRACT, CITATION_CONTEXT)
 DOC_SETS = ("cited", "citing", "both")
 # setting -> the least value it may take
 MINIMA = {"min_occurrences": 1, "restarts": 1, "seed": 0, "svg_node_scale": 0, "layout_max_iter": 1, "layout_tol": 0}
@@ -77,7 +76,7 @@ class PipelineConfig:
     """All tunables of one run. A bare config runs the standard settings."""
 
     corpus: str | None = None
-    mode: str = "title-abstract"
+    mode: str = TITLE_ABSTRACT
     doc_set: str = "cited"
     min_occurrences: int = 4
     counting: str = "binary"
@@ -222,13 +221,13 @@ class Run:
         return dataset_stats(docs.filter_tag("cited"), docs.filter_tag("citing"), self.contexts)
 
     @cached_property
-    def units(self) -> list[TextUnit]:
+    def units(self) -> list[str]:
         config = self.config
-        if config.mode == "citation-context":
-            units = _stage("units", make_units, self.contexts, CITATION_CONTEXT)
+        if config.mode == CITATION_CONTEXT:
+            source = self.contexts
         else:
-            docs = self.documents if config.doc_set == "both" else self.documents.filter_tag(config.doc_set)
-            units = _stage("units", make_units, docs, TITLE_ABSTRACT)
+            source = self.documents if config.doc_set == "both" else self.documents.filter_tag(config.doc_set)
+        units = _stage("units", make_units, source, config.mode)
         if not units:
             raise StageError("units", ValueError(f"no units for mode {config.mode!r} / set {config.doc_set!r}"))
         return units
@@ -365,9 +364,9 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
 def compare_networks(config: PipelineConfig) -> ComparisonReport:
     """Build the three networks (cited, citing, context) and compare them."""
     variants = {
-        "cited": replace(config, mode="title-abstract", doc_set="cited"),
-        "citing": replace(config, mode="title-abstract", doc_set="citing"),
-        "context": replace(config, mode="citation-context"),
+        "cited": replace(config, mode=TITLE_ABSTRACT, doc_set="cited"),
+        "citing": replace(config, mode=TITLE_ABSTRACT, doc_set="citing"),
+        "context": replace(config, mode=CITATION_CONTEXT),
     }
     networks = {label: analyze(variant).network for label, variant in variants.items()}
     return triplet_report(networks["cited"], networks["citing"], networks["context"])

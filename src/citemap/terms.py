@@ -1,6 +1,7 @@
 """Candidate term extraction and lexicon construction.
 
-A text unit is one title+abstract or one citation context. Units are
+A unit is the text of one title+abstract or one citation context, and the
+lexicon refers to a unit by its position in the list of units. Units are
 segmented into sentences, sentences into lowercase tokens; candidate terms
 are the maximal runs of content tokens (no stopwords, no numbers) plus every
 suffix sub-run, so "journal impact factor" also yields "impact factor" and
@@ -35,8 +36,8 @@ from typing import Container, Iterable, Iterator, Mapping, Sequence
 from .corpus import CitationContext, Document, DocumentSet
 from .errors import ConfigError, ConsistencyError, ParseError
 
-TITLE_ABSTRACT = "title_abstract"
-CITATION_CONTEXT = "citation_context"
+TITLE_ABSTRACT = "title-abstract"
+CITATION_CONTEXT = "citation-context"
 
 SENTENCE_BREAKERS = ".?!;"
 
@@ -166,48 +167,48 @@ def extract_candidates(
     ]
 
 
-@dataclass(frozen=True)
-class TextUnit:
-    """One unit of analysis: a title+abstract or one citation context."""
+def make_units(source: DocumentSet | Iterable[CitationContext], mode: str) -> list[str]:
+    """The texts of the units, in the order of ``source``.
 
-    unit_id: str
-    text: str
-
-
-def make_units(source: DocumentSet | Iterable[CitationContext], mode: str) -> list[TextUnit]:
-    """Turn documents or contexts into text units.
-
-    ``title_abstract`` concatenates title and abstract (title alone when the
-    abstract is missing), one unit per document; ``citation_context`` yields
-    one unit per context.
+    ``title-abstract`` concatenates title and abstract (title alone when the
+    abstract is missing), one unit per document; ``citation-context`` yields
+    one unit per context. Two records with one key, a document's id or a
+    context's (citing_id, cited_id, ordinal), are a ConsistencyError.
     """
-    units: list[TextUnit] = []
+    units: list[str] = []
+    seen: set[object] = set()
     if mode == TITLE_ABSTRACT:
         for doc in source:
             if not isinstance(doc, Document):
-                raise ConsistencyError(f"title_abstract mode needs documents, got {type(doc).__name__}")
-            text = f"{doc.title} {doc.abstract}" if doc.abstract else doc.title
-            units.append(TextUnit(doc.id, text))
+                raise ConsistencyError(f"{mode} mode needs documents, got {type(doc).__name__}")
+            if doc.id in seen:
+                raise ConsistencyError(f"duplicate document id {doc.id!r}")
+            seen.add(doc.id)
+            units.append(f"{doc.title} {doc.abstract}" if doc.abstract else doc.title)
     elif mode == CITATION_CONTEXT:
         for ctx in source:
             if not isinstance(ctx, CitationContext):
-                raise ConsistencyError(f"citation_context mode needs contexts, got {type(ctx).__name__}")
-            unit_id = f"{ctx.citing_id}::{ctx.cited_id}::{ctx.ordinal}"
-            units.append(TextUnit(unit_id, ctx.text))
+                raise ConsistencyError(f"{mode} mode needs contexts, got {type(ctx).__name__}")
+            key = (ctx.citing_id, ctx.cited_id, ctx.ordinal)
+            if key in seen:
+                raise ConsistencyError(f"duplicate context ({ctx.citing_id!r} -> {ctx.cited_id!r} #{ctx.ordinal})")
+            seen.add(key)
+            units.append(ctx.text)
     else:
         raise ConfigError(f"unknown unit mode {mode!r}")
-    seen: set[str] = set()
-    for unit in units:
-        if unit.unit_id in seen:
-            raise ConsistencyError(f"duplicate unit id {unit.unit_id!r}")
-        seen.add(unit.unit_id)
     return units
 
 
 @dataclass(frozen=True)
 class LexiconEntry:
+    """One retained term and the units that hold it.
+
+    ``unit_counts`` maps a unit's position in the list of units to the
+    term's occurrences inside that unit, in ascending position order.
+    """
+
     term: str
-    unit_counts: dict[str, int]  # unit id -> occurrences inside that unit
+    unit_counts: dict[int, int]
 
     @property
     def occurrence_count(self) -> int:
@@ -250,17 +251,19 @@ def resolve_thesaurus(mapping: Mapping[str, str]) -> dict[str, str]:
 
 
 def build_lexicon(
-    units: Sequence[TextUnit],
+    units: Sequence[str],
     min_occurrences: int = 4,
     thesaurus: Mapping[str, str] | None = None,
     stoplist: Iterable[str] = (),
 ) -> Lexicon:
-    """Count candidate terms per unit (binary) and keep the frequent ones.
+    """Count candidate terms per unit text (binary) and keep the frequent ones.
 
-    The thesaurus is applied before counting, so merged variants pool their
-    unit sets; a term whose normalized form equals a stoplist word never
-    enters. Exclusions are not applied here but after the relevance cut, by
-    ``select_top_terms``. The result does not depend on unit order.
+    Each entry refers to a unit by its position in ``units``. The thesaurus
+    is applied before counting, so merged variants pool their unit sets; a
+    term whose normalized form equals a stoplist word never enters.
+    Exclusions are not applied here but after the relevance cut, by
+    ``select_top_terms``. Reordering the units only permutes the positions
+    in each entry.
     """
     if min_occurrences < 1:
         raise ConfigError(f"min_occurrences must be >= 1, got {min_occurrences}")
@@ -271,23 +274,18 @@ def build_lexicon(
     # the conservative plural merge, keeping the result order-invariant. The
     # vocabulary maps each token to its first string, and the kept sentences
     # hold that one string per distinct token instead of one per occurrence.
-    segmented: list[tuple[str, list[list[str]]]] = []
+    segmented: list[list[list[str]]] = []
     vocabulary: dict[str, str] = {}
-    seen_ids: set[str] = set()
-    for unit in units:
-        if unit.unit_id in seen_ids:
-            raise ConsistencyError(f"duplicate unit id {unit.unit_id!r}")
-        seen_ids.add(unit.unit_id)
-        sentences = [
+    for text in units:
+        segmented.append([
             list(map(vocabulary.setdefault, sentence, sentence))
-            for sentence in segment(strip_citation_authors(unit.text))
-        ]
-        segmented.append((unit.unit_id, sentences))
+            for sentence in segment(strip_citation_authors(text))
+        ])
 
     # each distinct token's fate is worked out once, not once per suffix
     fate = {token: _fate(token, stopset, vocabulary) for token in vocabulary}
-    counts: dict[str, dict[str, int]] = {}
-    for unit_id, sentences in segmented:
+    counts: dict[str, dict[int, int]] = {}
+    for position, sentences in enumerate(segmented):
         candidates: list[str] = []
         for sentence in sentences:
             for run in _content_runs(sentence, fate):
@@ -298,11 +296,11 @@ def build_lexicon(
             if term in stopset:
                 continue
             per_term = counts.setdefault(term, {})
-            per_term[unit_id] = per_term.get(unit_id, 0) + times
+            per_term[position] = per_term.get(position, 0) + times
 
     kept = sorted(term for term, per_term in counts.items() if len(per_term) >= min_occurrences)
-    # each count dict is dropped as its sorted copy is made
-    return Lexicon({term: LexiconEntry(term, dict(sorted(counts.pop(term).items()))) for term in kept})
+    # units are counted in order, so each count dict is already ascending by position
+    return Lexicon({term: LexiconEntry(term, counts[term]) for term in kept})
 
 
 def parse_word_list(text: str) -> list[str]:

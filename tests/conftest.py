@@ -7,7 +7,6 @@ import pytest
 from citemap.corpus import CitationContext, Document
 from citemap.network import CoocNetwork, SimilarityMatrix, TermNode
 from citemap.pipeline import builtin_corpus_path
-from citemap.terms import TextUnit
 
 
 @pytest.fixture(scope="session")
@@ -26,10 +25,6 @@ def doc(doc_id: str, set_tag: str = "cited", title: str = "untitled", **kwargs) 
 
 def ctx(citing: str, cited: str, text: str = "some snippet", ordinal: int = 1) -> CitationContext:
     return CitationContext(citing, cited, text, ordinal)
-
-
-def unit(unit_id: str, text: str) -> TextUnit:
-    return TextUnit(unit_id, text)
 
 
 def network(term_occurrences: dict[str, int], edges: dict[tuple[int, int], int]) -> CoocNetwork:

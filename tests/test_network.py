@@ -23,12 +23,12 @@ from citemap.network import (
     select_top_terms,
     top_count,
 )
-from citemap.terms import Lexicon, LexiconEntry, TextUnit
+from citemap.terms import Lexicon, LexiconEntry
 
 from conftest import network
 
 
-def lexicon_from(unit_counts: dict[str, dict[str, int]]) -> Lexicon:
+def lexicon_from(unit_counts: dict[str, dict[int, int]]) -> Lexicon:
     entries = {
         term: LexiconEntry(term, dict(sorted(counts.items())))
         for term, counts in sorted(unit_counts.items())
@@ -36,63 +36,64 @@ def lexicon_from(unit_counts: dict[str, dict[str, int]]) -> Lexicon:
     return Lexicon(entries)
 
 
-def units_named(*unit_ids: str) -> list[TextUnit]:
-    return [TextUnit(uid, "irrelevant") for uid in unit_ids]
+def unit_texts(n: int) -> list[str]:
+    """n units; counting reads only their number, the lexicon holds their positions."""
+    return ["irrelevant"] * n
 
 
 class TestCountCooccurrences:
     def test_single_unit_triangle(self):
-        lexicon = lexicon_from({"a": {"u1": 1}, "b": {"u1": 1}, "c": {"u1": 1}})
-        net = count_cooccurrences(units_named("u1"), lexicon)
+        lexicon = lexicon_from({"a": {0: 1}, "b": {0: 1}, "c": {0: 1}})
+        net = count_cooccurrences(unit_texts(1), lexicon)
         assert net.edges == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
 
     def test_counts_match_set_intersection(self):
         lexicon = lexicon_from({
-            "a": {"u1": 1, "u2": 1, "u3": 1},
-            "b": {"u2": 1, "u3": 1, "u4": 1},
+            "a": {0: 1, 1: 1, 2: 1},
+            "b": {1: 1, 2: 1, 3: 1},
         })
-        net = count_cooccurrences(units_named("u1", "u2", "u3", "u4"), lexicon)
-        assert net.edges[(0, 1)] == 2  # |{u2, u3}|
+        net = count_cooccurrences(unit_texts(4), lexicon)
+        assert net.edges[(0, 1)] == 2  # |{1, 2}|
 
     def test_binary_mode_caps_within_unit(self):
-        lexicon = lexicon_from({"a": {"u1": 2}, "b": {"u1": 1}})
-        net = count_cooccurrences(units_named("u1"), lexicon, "binary")
+        lexicon = lexicon_from({"a": {0: 2}, "b": {0: 1}})
+        net = count_cooccurrences(unit_texts(1), lexicon, "binary")
         assert net.edges[(0, 1)] == 1
 
     def test_full_mode_takes_min(self):
-        lexicon = lexicon_from({"a": {"u1": 3}, "b": {"u1": 2}})
-        net = count_cooccurrences(units_named("u1"), lexicon, "full")
+        lexicon = lexicon_from({"a": {0: 3}, "b": {0: 2}})
+        net = count_cooccurrences(unit_texts(1), lexicon, "full")
         assert net.edges[(0, 1)] == 2
 
     def test_unknown_unit_is_consistency_error(self):
-        lexicon = lexicon_from({"a": {"ghost": 1}, "b": {"u1": 1}})
-        with pytest.raises(ConsistencyError):
-            count_cooccurrences(units_named("u1"), lexicon)
+        for ghost in (1, -1):  # positions outside the one unit
+            lexicon = lexicon_from({"a": {ghost: 1}, "b": {0: 1}})
+            with pytest.raises(ConsistencyError, match="outside"):
+                count_cooccurrences(unit_texts(1), lexicon)
 
     def test_unmatched_term_is_consistency_error(self):
-        lexicon = lexicon_from({"a": {}, "b": {"u1": 1}})
+        lexicon = lexicon_from({"a": {}, "b": {0: 1}})
         with pytest.raises(ConsistencyError, match="matched no unit"):
-            count_cooccurrences(units_named("u1"), lexicon)
+            count_cooccurrences(unit_texts(1), lexicon)
 
     def test_unknown_counting_mode(self):
         with pytest.raises(ConfigError):
-            count_cooccurrences(units_named("u1"), lexicon_from({"a": {"u1": 1}}), "ternary")
+            count_cooccurrences(unit_texts(1), lexicon_from({"a": {0: 1}}), "ternary")
 
     def test_binary_bound_holds_on_random_corpora(self):
         rng = random.Random(7)
         for _ in range(50):
             n_units = rng.randint(1, 10)
             n_terms = rng.randint(2, 15)
-            unit_ids = [f"u{k}" for k in range(n_units)]
-            unit_counts: dict[str, dict[str, int]] = {}
+            unit_counts: dict[str, dict[int, int]] = {}
             for t in range(n_terms):
-                hit = {uid: rng.randint(1, 3) for uid in unit_ids if rng.random() < 0.5}
+                hit = {k: rng.randint(1, 3) for k in range(n_units) if rng.random() < 0.5}
                 if hit:
                     unit_counts[f"term{t}"] = hit
             if not unit_counts:
                 continue
             lexicon = lexicon_from(unit_counts)
-            net = count_cooccurrences(units_named(*unit_ids), lexicon, "binary")
+            net = count_cooccurrences(unit_texts(n_units), lexicon, "binary")
             occ = {node.term: node.occurrences for node in net.terms}
             terms = [node.term for node in net.terms]
             for (i, j), c in net.edges.items():
@@ -103,23 +104,22 @@ class TestCountCooccurrences:
         rng = random.Random(11)
         for _ in range(30):
             n_units = rng.randint(1, 10)
-            unit_ids = [f"u{k}" for k in range(n_units)]
-            unit_counts: dict[str, dict[str, int]] = {}
+            unit_counts: dict[str, dict[int, int]] = {}
             for t in range(rng.randint(2, 15)):
-                hit = {uid: rng.randint(1, 4) for uid in unit_ids if rng.random() < 0.4}
+                hit = {k: rng.randint(1, 4) for k in range(n_units) if rng.random() < 0.4}
                 if hit:
                     unit_counts[f"term{t:02d}"] = hit
             if len(unit_counts) < 2:
                 continue
             lexicon = lexicon_from(unit_counts)
             for mode in ("binary", "full"):
-                net = count_cooccurrences(units_named(*unit_ids), lexicon, mode)
+                net = count_cooccurrences(unit_texts(n_units), lexicon, mode)
                 terms = [node.term for node in net.terms]
                 for i, j in combinations(range(len(terms)), 2):
                     expected = 0
-                    for uid in unit_ids:
-                        times_i = unit_counts[terms[i]].get(uid, 0)
-                        times_j = unit_counts[terms[j]].get(uid, 0)
+                    for k in range(n_units):
+                        times_i = unit_counts[terms[i]].get(k, 0)
+                        times_j = unit_counts[terms[j]].get(k, 0)
                         if times_i and times_j:
                             expected += 1 if mode == "binary" else min(times_i, times_j)
                     assert net.edges.get((i, j), 0) == expected

@@ -217,8 +217,7 @@ class TestRunPipeline:
         config = demo_config(demo_corpus, tmp_path / "out", mode="citation-context",
                              min_occurrences=3)
         result = analyze(config)
-        context_units = [(f"{c.citing_id}::{c.cited_id}::{c.ordinal}", c.text) for c in result.contexts]
-        assert [(u.unit_id, u.text) for u in result.units] == context_units
+        assert result.units == [c.text for c in result.contexts]
         assert len(result.network.terms) > 0
 
     def test_full_counting_mode(self, demo_corpus, tmp_path):
@@ -406,6 +405,25 @@ class TestCli:
         assert main(["compare", "--corpus", str(corpus), "--out", str(tmp_path / "compare")]) == 0
         report = json.loads((tmp_path / "compare" / "comparison.json").read_text())
         assert report["ordering_holds"] == {"jaccard": True, "cosine": True}
+
+    def test_ids_with_double_colons_make_two_contexts(self, tmp_path, capsys):
+        # joining ids with "::" once made both contexts 'a::b::c::1', and the run exited 3
+        corpus = tmp_path / "colons.jsonl"
+        corpus.write_text(
+            '{"kind": "document", "id": "a::b", "set_tag": "citing", "title": "Impact factor study"}\n'
+            '{"kind": "document", "id": "a", "set_tag": "citing", "title": "Another study"}\n'
+            '{"kind": "document", "id": "c", "set_tag": "cited", "title": "Cited one"}\n'
+            '{"kind": "document", "id": "b::c", "set_tag": "cited", "title": "Cited two"}\n'
+            '{"kind": "context", "citing_id": "a::b", "cited_id": "c", "ordinal": 1, '
+            '"text": "The impact factor is used."}\n'
+            '{"kind": "context", "citing_id": "a", "cited_id": "b::c", "ordinal": 1, '
+            '"text": "The impact factor is criticised."}\n',
+            encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["extract", "--mode", "citation-context", "--min-occurrences", "1",
+                     "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert "impact factor\t2" in (out / "lexicon.tsv").read_text(encoding="utf-8").splitlines()
 
     @pytest.mark.parametrize("command, corpus_name, name", [
         ("ingest", "demo", "corpus_stats.json"),

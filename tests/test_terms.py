@@ -27,7 +27,7 @@ from citemap.terms import (
     strip_citation_authors,
 )
 
-from conftest import ctx, doc, unit
+from conftest import ctx, doc
 
 
 class TestSegment:
@@ -233,12 +233,11 @@ class TestExtractCandidates:
 
 class TestMakeUnits:
     def test_title_only_document(self):
-        units = make_units([doc("a", title="Only title")], TITLE_ABSTRACT)
-        assert units[0].text == "Only title"
+        assert make_units([doc("a", title="Only title")], TITLE_ABSTRACT) == ["Only title"]
 
     def test_title_and_abstract_concatenated(self):
         units = make_units([doc("a", title="Title", abstract="Abstract body")], TITLE_ABSTRACT)
-        assert units[0].text == "Title Abstract body"
+        assert units == ["Title Abstract body"]
 
     def test_one_unit_per_document(self):
         docs = [doc(f"d{k}", title=f"t{k}") for k in range(59)]
@@ -248,12 +247,16 @@ class TestMakeUnits:
         contexts = [ctx(f"r{k % 40}", f"c{k % 10}", f"snippet {k}", ordinal=k // 40 + 1) for k in range(428)]
         units = make_units(contexts, CITATION_CONTEXT)
         assert len(units) == 428
-        assert len({u.unit_id for u in units}) == 428
+        assert units == [c.text for c in contexts]  # corpus order
 
     def test_two_contexts_with_one_key_rejected(self):
         contexts = [ctx("r", "c", "first snippet"), ctx("r", "c", "second snippet")]
-        with pytest.raises(ConsistencyError, match="duplicate unit id 'r::c::1'"):
+        with pytest.raises(ConsistencyError, match=r"duplicate context \('r' -> 'c' #1\)"):
             make_units(contexts, CITATION_CONTEXT)
+
+    def test_two_documents_with_one_id_rejected(self):
+        with pytest.raises(ConsistencyError, match="duplicate document id 'a'"):
+            make_units([doc("a", title="first"), doc("a", title="second")], TITLE_ABSTRACT)
 
     def test_mode_mismatch(self):
         with pytest.raises(ConsistencyError):
@@ -267,35 +270,30 @@ class TestMakeUnits:
 
 
 class TestBuildLexicon:
-    def test_duplicate_unit_id_rejected(self):
-        with pytest.raises(ConsistencyError, match="duplicate unit id 'u1'"):
-            build_lexicon([unit("u1", "impact factor"), unit("u1", "impact factor")], min_occurrences=1)
-
     def test_below_threshold_absent(self):
-        units = [unit(f"u{k}", "citation analysis works") for k in range(3)]
+        units = ["citation analysis works"] * 3
         lexicon = build_lexicon(units, min_occurrences=4)
         assert len(lexicon) == 0
 
     def test_binary_counting_within_unit(self):
-        units = [unit("u1", "factor. factor. factor. factor. factor.")]
+        units = ["factor. factor. factor. factor. factor."]
         lexicon = build_lexicon(units, min_occurrences=1)
         assert lexicon.occurrence_count("factor") == 1
-        assert lexicon.terms["factor"].unit_counts == {"u1": 5}
+        assert lexicon.terms["factor"].unit_counts == {0: 5}
 
     def test_thesaurus_pools_unit_sets(self):
-        units = [unit(f"u{k}", "the jif") for k in range(2)]
-        units += [unit(f"v{k}", "the journal impact factor") for k in range(3)]
+        units = ["the jif"] * 2 + ["the journal impact factor"] * 3
         lexicon = build_lexicon(units, min_occurrences=1, stoplist={"the"},
                                 thesaurus={"jif": "journal impact factor"})
         assert lexicon.occurrence_count("journal impact factor") == 5
 
     def test_thesaurus_cycle_rejected(self):
         with pytest.raises(ConfigError, match="cycle"):
-            build_lexicon([unit("u", "x")], min_occurrences=1, thesaurus={"a": "b", "b": "a"})
+            build_lexicon(["x"], min_occurrences=1, thesaurus={"a": "b", "b": "a"})
 
     def test_exclusions_apply_after_threshold(self):
         # the lexicon keeps an excluded term; the relevance cut drops it
-        units = [unit(f"u{k}", "the impact factor") for k in range(4)]
+        units = ["the impact factor"] * 4
         lexicon = build_lexicon(units, min_occurrences=4, stoplist={"the"})
         assert {"impact factor", "factor"} <= set(lexicon.terms)
         net = count_cooccurrences(units, lexicon)
@@ -303,13 +301,13 @@ class TestBuildLexicon:
         assert selected.term_strings == ("factor",)
 
     def test_stoplist_terms_never_enter(self):
-        units = [unit("u", "the factor grows")]
+        units = ["the factor grows"]
         lexicon = build_lexicon(units, min_occurrences=1, stoplist={"the"},
                                 thesaurus={"grows": "the"})
         assert "the" not in lexicon
 
     def test_author_citations_do_not_become_terms(self):
-        units = [unit(f"u{k}", "as Moed et al. argued, citation analysis matters") for k in range(2)]
+        units = ["as Moed et al. argued, citation analysis matters"] * 2
         lexicon = build_lexicon(units, min_occurrences=1, stoplist={"as", "argued"})
         assert "moed" not in lexicon
 
@@ -318,19 +316,18 @@ class TestBuildLexicon:
             build_lexicon([], min_occurrences=0)
 
     def test_plural_merge_across_units(self):
-        units = [unit("u1", "many factors"), unit("u2", "the factor"), unit("u3", "more factors")]
+        units = ["many factors", "the factor", "more factors"]
         lexicon = build_lexicon(units, min_occurrences=1, stoplist={"many", "the", "more"})
         assert lexicon.occurrence_count("factor") == 3
 
     def test_occurrence_counts_bounded_by_units(self):
-        units = [unit(f"u{k}", "impact factor impact factor") for k in range(6)]
+        units = ["impact factor impact factor"] * 6
         lexicon = build_lexicon(units, min_occurrences=1)
         assert all(e.occurrence_count <= len(units) for e in lexicon)
 
     def test_removing_a_unit_never_raises_counts(self):
-        texts = ["citation analysis and impact", "impact factor analysis",
+        units = ["citation analysis and impact", "impact factor analysis",
                  "citation impact", "analysis of citation analysis"]
-        units = [unit(f"u{k}", t) for k, t in enumerate(texts)]
         full = build_lexicon(units, min_occurrences=1, stoplist={"and", "of"})
         reduced = build_lexicon(units[:-1], min_occurrences=1, stoplist={"and", "of"})
         for entry in reduced:
@@ -339,7 +336,7 @@ class TestBuildLexicon:
 
     def test_brute_force_small_corpora(self):
         # naive scan: per unit, count each distinct normalized candidate once
-        texts = [
+        units = [
             "citation analysis measures impact",
             "the impact factor. citation analysis again",
             "journal impact factor and citation counts",
@@ -347,18 +344,17 @@ class TestBuildLexicon:
             "impact impact impact",
         ]
         stop = {"the", "and", "by", "again"}
-        units = [unit(f"u{k}", t) for k, t in enumerate(texts)]
         lexicon = build_lexicon(units, min_occurrences=1, stoplist=stop)
 
         from citemap.terms import segment as lib_segment, strip_citation_authors as strip
         vocabulary = set()
         for u in units:
-            for sentence in lib_segment(strip(u.text)):
+            for sentence in lib_segment(strip(u)):
                 vocabulary.update(sentence)
         expected = Counter()
         for u in units:
             seen = set()
-            for sentence in lib_segment(strip(u.text)):
+            for sentence in lib_segment(strip(u)):
                 seen.update(extract_candidates(sentence, stop, vocabulary))
             expected.update(seen)
         assert {e.term: e.occurrence_count for e in lexicon} == dict(expected)
@@ -368,7 +364,7 @@ class TestBuildLexicon:
         # a string object per token alone took 5.9 MB at the peak
         text = ("Keyword maps of citing titles and abstracts show research topics. Citation contexts "
                 "describe the cited work. Co-word analysis compares the three maps.")
-        units = [unit(f"u{k}", text) for k in range(2000)]
+        units = [text] * 2000
         build_lexicon(units[:4])  # lazy set-up outside the measurement
         tracemalloc.start()
         try:
@@ -388,21 +384,23 @@ class TestLexiconProperties:
     @given(UNIT_TEXTS)
     @settings(max_examples=60, deadline=None)
     def test_unit_order_invariance(self, texts):
-        units = [unit(f"u{k}", t) for k, t in enumerate(texts)]
         stop = {"the", "of"}
-        forward = build_lexicon(units, min_occurrences=1, stoplist=stop)
-        backward = build_lexicon(list(reversed(units)), min_occurrences=1, stoplist=stop)
-        assert {e.term: e.unit_counts for e in forward} == {e.term: e.unit_counts for e in backward}
+        forward = build_lexicon(texts, min_occurrences=1, stoplist=stop)
+        backward = build_lexicon(list(reversed(texts)), min_occurrences=1, stoplist=stop)
+        last = len(texts) - 1  # position k of the backward run is position last - k of the forward one
+        assert {e.term: e.unit_counts for e in forward} == {
+            e.term: {last - k: times for k, times in e.unit_counts.items()} for e in backward
+        }
         assert list(forward.terms) == list(backward.terms)
 
     @given(UNIT_TEXTS)
     @settings(max_examples=60, deadline=None)
     def test_determinism_and_bounds(self, texts):
-        units = [unit(f"u{k}", t) for k, t in enumerate(texts)]
-        first = build_lexicon(units, min_occurrences=1, stoplist={"the", "of"})
-        second = build_lexicon(units, min_occurrences=1, stoplist={"the", "of"})
+        first = build_lexicon(texts, min_occurrences=1, stoplist={"the", "of"})
+        second = build_lexicon(texts, min_occurrences=1, stoplist={"the", "of"})
         assert {e.term: e.unit_counts for e in first} == {e.term: e.unit_counts for e in second}
-        assert all(e.occurrence_count <= len(units) for e in first)
+        assert all(e.occurrence_count <= len(texts) for e in first)
+        assert all(list(e.unit_counts) == sorted(e.unit_counts) for e in first)
 
 
 class TestWordListFiles:
