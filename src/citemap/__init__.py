@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .clustering import Clustering, cluster, quality
 from .compare import (
     ComparisonReport,
-    FrequencyTable,
     frequency_table,
     term_set_similarity,
     triplet_report,

@@ -33,7 +33,8 @@ from pathlib import Path
 from .errors import CitemapError, CitemapWarning, ConfigError, StageError
 from .exports import write_json
 from .network import COUNTINGS, top_count
-from .pipeline import DOC_SETS, MODES, PipelineConfig, Run, compare_networks, run_pipeline, write_files, write_outputs
+from .pipeline import (DOC_SETS, EXPORT_NAMES, MODES, PipelineConfig, Run, compare_networks, run_pipeline,
+                       write_files, write_outputs)
 from .terms import TITLE_ABSTRACT
 
 
@@ -93,7 +94,7 @@ STAGED = {
         f"({'converged' if r.map_layout.converged else 'max_iter reached'}, "
         f"{r.map_layout.iterations_used} iterations) -> {paths['map.tsv']}")),
     "export": ("write map, network, JSON, and SVG exports",
-               ("map.tsv", "network.tsv", "network_terms.tsv", "graph.json", "map.svg"),
+               EXPORT_NAMES,
                lambda r, paths: f"wrote {', '.join(paths)} under {Path(r.config.out_dir)}"),
 }
 

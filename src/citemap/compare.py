@@ -22,13 +22,6 @@ TRIPLET_LABELS = ("cited", "citing", "context")
 
 
 @dataclass(frozen=True)
-class FrequencyTable:
-    """Top terms of one cluster, descending by count then ascending by term."""
-
-    rows: tuple[tuple[str, int], ...]
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
     jaccard: dict[str, dict[str, float]]
     cosine: dict[str, dict[str, float]]
@@ -44,8 +37,9 @@ class ComparisonReport:
         }
 
 
-def frequency_table(net: CoocNetwork, clustering: Clustering, cluster_id: int, k: int) -> FrequencyTable:
-    """The k most frequent terms of one cluster."""
+def frequency_table(net: CoocNetwork, clustering: Clustering, cluster_id: int, k: int) -> tuple[tuple[str, int], ...]:
+    """The k most frequent terms of one cluster: ``(term, occurrences)`` rows,
+    descending by occurrences then ascending by term."""
     if len(clustering.assignment) != len(net.terms):
         raise ConsistencyError(f"{len(clustering.assignment)} assignments for {len(net.terms)} terms")
     if not 1 <= cluster_id <= clustering.n_clusters:
@@ -55,7 +49,7 @@ def frequency_table(net: CoocNetwork, clustering: Clustering, cluster_id: int, k
         ((net.terms[i].term, net.terms[i].occurrences) for i in members),
         key=lambda row: (-row[1], row[0]),
     )
-    return FrequencyTable(tuple(ranked[:max(k, 0)]))
+    return tuple(ranked[:max(k, 0)])
 
 
 def term_set_similarity(a: CoocNetwork, b: CoocNetwork) -> float:

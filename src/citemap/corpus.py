@@ -10,6 +10,9 @@ attempted.
 Dump format: UTF-8 JSONL, LF line endings. Each line is an object with
 ``"kind": "document"`` (fields: id, doi, title, abstract, year, set_tag) or
 ``"kind": "context"`` (fields: citing_id, cited_id, text, ordinal).
+
+A field's type is its dataclass annotation, checked by ``check_field_types``.
+A context's identity is ``CitationContext.key``, its name in messages ``str(ctx)``.
 """
 
 from __future__ import annotations
@@ -48,17 +51,17 @@ def normalize_doi(raw: str | None) -> str | None:
     return doi or None
 
 
-# field -> accepted types of a document and a context; a bool is never accepted
-_DOC_FIELDS = {"id": (str,), "doi": (str, NoneType), "title": (str,), "abstract": (str, NoneType),
-               "year": (int, NoneType), "set_tag": (str,)}
-_CTX_FIELDS = {"citing_id": (str,), "cited_id": (str,), "text": (str,), "ordinal": (int,)}
+# a field's annotation -> the types it accepts
+_ANNOTATION_TYPES = {"str": (str,), "int": (int,), "float": (int, float),
+                     "str | None": (str, NoneType), "int | None": (int, NoneType)}
 
 
-def _check_types(record: object, fields: dict[str, tuple[type, ...]]) -> None:
-    for name, accepted in fields.items():
+def check_field_types(record: object) -> None:
+    """TypeError unless each field of dataclass instance ``record`` fits its annotation; a bool fits none."""
+    for name, spec in record.__dataclass_fields__.items():
         value = getattr(record, name)
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in accepted)}, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, _ANNOTATION_TYPES[spec.type]):
+            raise TypeError(f"{name} must be {spec.type}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,7 @@ class Document:
     year: int | None = None
 
     def __post_init__(self) -> None:
-        _check_types(self, _DOC_FIELDS)
+        check_field_types(self)
         if not self.id:
             raise ValueError("document id must be non-empty")
         if self.set_tag not in SET_TAGS:
@@ -99,7 +102,7 @@ class CitationContext:
     ordinal: int = 1
 
     def __post_init__(self) -> None:
-        _check_types(self, _CTX_FIELDS)
+        check_field_types(self)
         stripped = self.text.strip()
         if not stripped:
             raise ValueError("context text must be non-empty after trimming")
@@ -108,6 +111,14 @@ class CitationContext:
             raise ValueError(f"ordinal must be >= 1, got {self.ordinal}")
         if not self.citing_id or not self.cited_id:
             raise ValueError("citing_id and cited_id must be non-empty")
+
+    @property
+    def key(self) -> tuple[str, str, int]:
+        """The context's identity: two contexts with one key are duplicates."""
+        return (self.citing_id, self.cited_id, self.ordinal)
+
+    def __str__(self) -> str:
+        return f"({self.citing_id!r} -> {self.cited_id!r} #{self.ordinal})"
 
 
 class DocumentSet:
@@ -171,14 +182,14 @@ class CorpusStats:
 
 
 def _document_from_record(record: dict) -> Document:
-    fields = {name: record[name] for name in _DOC_FIELDS if name in record}
+    fields = {name: record[name] for name in Document.__dataclass_fields__ if name in record}
     if fields.get("title") is None:
         fields["title"] = ""  # a dump may leave the title out or null
     return Document(**fields)
 
 
 def _context_from_record(record: dict) -> CitationContext:
-    return CitationContext(**{name: record[name] for name in _CTX_FIELDS if name in record})
+    return CitationContext(**{name: record[name] for name in CitationContext.__dataclass_fields__ if name in record})
 
 
 def load_corpus(path: str | Path, data: bytes | None = None) -> tuple[DocumentSet, list[CitationContext]]:
@@ -217,12 +228,10 @@ def load_corpus(path: str | Path, data: bytes | None = None) -> tuple[DocumentSe
                         warnings.warn(f"{path}:{lineno}: duplicate document id {doc.id!r} ignored", CitemapWarning, stacklevel=2)
                 elif kind == "context":
                     ctx = _context_from_record(record)
-                    key = (ctx.citing_id, ctx.cited_id, ctx.ordinal)
-                    if key in context_keys:
-                        warnings.warn(f"{path}:{lineno}: duplicate context ({ctx.citing_id!r} -> {ctx.cited_id!r} "
-                                      f"#{ctx.ordinal}) ignored", CitemapWarning, stacklevel=2)
+                    if ctx.key in context_keys:
+                        warnings.warn(f"{path}:{lineno}: duplicate context {ctx} ignored", CitemapWarning, stacklevel=2)
                     else:
-                        context_keys.add(key)
+                        context_keys.add(ctx.key)
                         contexts.append(ctx)
                         context_lines.append(lineno)
                 else:
@@ -232,8 +241,8 @@ def load_corpus(path: str | Path, data: bytes | None = None) -> tuple[DocumentSe
     for ctx, lineno in zip(contexts, context_lines):
         missing = [i for i in (ctx.citing_id, ctx.cited_id) if i not in docs]
         if missing:
-            warnings.warn(f"{path}:{lineno}: context ({ctx.citing_id!r} -> {ctx.cited_id!r} #{ctx.ordinal}) "
-                          f"references unknown document(s) {missing}", CitemapWarning, stacklevel=2)
+            warnings.warn(f"{path}:{lineno}: context {ctx} references unknown document(s) {missing}",
+                          CitemapWarning, stacklevel=2)
     return docs, contexts
 
 

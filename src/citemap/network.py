@@ -143,8 +143,12 @@ def association_strength(net: CoocNetwork) -> SimilarityMatrix:
 
 
 def profile_divergence(profile: dict[int, float], background: dict[int, float]) -> float:
-    """sum_j p(j) * ln(p(j) / q(j)) over the profile's support."""
-    return sum(p * math.log(p / background[j]) for j, p in sorted(profile.items()) if p > 0)
+    """sum_j p(j) * ln(p(j) / q(j)) over the profile's support, added left to right in j order."""
+    total = 0.0  # not the builtin sum(), which compensates from Python 3.12 on and so moves the last bits
+    for j, p in sorted(profile.items()):
+        if p > 0:
+            total += p * math.log(p / background[j])
+    return total
 
 
 def relevance_scores(net: CoocNetwork) -> tuple[float, ...]:

@@ -21,13 +21,12 @@ from dataclasses import asdict, dataclass, replace
 from functools import cached_property, partial
 from importlib import resources
 from pathlib import Path
-from types import NoneType
 from typing import Callable, Iterable
 
 from . import __version__
 from .clustering import Clustering, cluster
 from .compare import ComparisonReport, triplet_report
-from .corpus import CorpusStats, dataset_stats, load_corpus
+from .corpus import CorpusStats, check_field_types, dataset_stats, load_corpus
 from .errors import CitemapError, ConfigError, StageError
 from .exports import export_graph_json, export_map, export_network, export_terms, render_svg, write_json, write_lines
 from .layout import MapLayout, layout
@@ -59,18 +58,6 @@ DOC_SETS = ("cited", "citing", "both")
 MINIMA = {"min_occurrences": 1, "restarts": 1, "seed": 0, "svg_node_scale": 0, "layout_max_iter": 1, "layout_tol": 0}
 
 
-def _check_settings(cls: type, mapping: dict) -> None:
-    """ConfigError unless each key of ``mapping`` is a field of dataclass ``cls`` and its value fits the annotation."""
-    unknown = set(mapping) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for name, value in mapping.items():
-        kind = cls.__dataclass_fields__[name].type  # "int", "float", "str" or "str | None"
-        accepted = {"int": int, "float": (int, float), "str": str, "str | None": (str, NoneType)}[kind]
-        if isinstance(value, bool) or not isinstance(value, accepted):  # bool subclasses int
-            raise ConfigError(f"{name} must be {kind}, got {value!r}")
-
-
 @dataclass
 class PipelineConfig:
     """All tunables of one run. A bare config runs the standard settings."""
@@ -93,6 +80,10 @@ class PipelineConfig:
     layout_tol: float = 1e-8
 
     def validate(self) -> None:
+        try:
+            check_field_types(self)
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from exc
         for name, spec in self.__dataclass_fields__.items():
             # nan fails the comparison, and so does an int too large for a float
             if spec.type == "float" and not abs(getattr(self, name)) <= sys.float_info.max:
@@ -115,7 +106,9 @@ class PipelineConfig:
     def from_mapping(cls, mapping: dict) -> "PipelineConfig":
         if "parameters" in mapping and isinstance(mapping["parameters"], dict):
             mapping = mapping["parameters"]  # accept a manifest as config
-        _check_settings(cls, mapping)
+        unknown = set(mapping) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         config = cls(**mapping)
         config.validate()
         return config
@@ -313,9 +306,10 @@ WRITERS: dict[str, Callable[[Run], Callable[[Path], object]]] = {
     "corpus_stats.json": lambda r: partial(write_json, payload=r.corpus_stats.to_dict()),
     "manifest.json": lambda r: partial(write_json, payload=build_manifest(r, OUTPUT_NAMES)),
 }
+# the export subcommand's files: the map, its network, and their JSON and SVG renderings
+EXPORT_NAMES = ("map.tsv", "network.tsv", "network_terms.tsv", "graph.json", "map.svg")
 # a full run's outputs, in the order they are written; the manifest comes last
-OUTPUT_NAMES = ("map.tsv", "network.tsv", "network_terms.tsv", "graph.json", "map.svg",
-                "corpus_stats.json", "manifest.json")
+OUTPUT_NAMES = (*EXPORT_NAMES, "corpus_stats.json", "manifest.json")
 
 
 def write_files(out_dir: str | Path, writers: dict[str, Callable[[Path], object]]) -> dict[str, Path]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .corpus import CitationContext, Document, DocumentSet
 from .errors import ConfigError, ConsistencyError, ParseError
@@ -189,10 +189,9 @@ def make_units(source: DocumentSet | Iterable[CitationContext], mode: str) -> li
         for ctx in source:
             if not isinstance(ctx, CitationContext):
                 raise ConsistencyError(f"{mode} mode needs contexts, got {type(ctx).__name__}")
-            key = (ctx.citing_id, ctx.cited_id, ctx.ordinal)
-            if key in seen:
-                raise ConsistencyError(f"duplicate context ({ctx.citing_id!r} -> {ctx.cited_id!r} #{ctx.ordinal})")
-            seen.add(key)
+            if ctx.key in seen:
+                raise ConsistencyError(f"duplicate context {ctx}")
+            seen.add(ctx.key)
             units.append(ctx.text)
     else:
         raise ConfigError(f"unknown unit mode {mode!r}")
@@ -204,7 +203,8 @@ class LexiconEntry:
     """One retained term and the units that hold it.
 
     ``unit_counts`` maps a unit's position in the list of units to the
-    term's occurrences inside that unit, in ascending position order.
+    term's occurrences inside that unit, in ascending position order. The
+    term's occurrence count is the number of units that hold it.
     """
 
     term: str
@@ -215,23 +215,8 @@ class LexiconEntry:
         return len(self.unit_counts)
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    """Retained terms with per-unit occurrence data, sorted by term."""
-
-    terms: dict[str, LexiconEntry]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __contains__(self, term: object) -> bool:
-        return term in self.terms
-
-    def __iter__(self) -> Iterator[LexiconEntry]:
-        return iter(self.terms.values())
-
-    def occurrence_count(self, term: str) -> int:
-        return self.terms[term].occurrence_count
+# a lexicon is its entries, in ascending term order
+Lexicon = tuple[LexiconEntry, ...]
 
 
 def resolve_thesaurus(mapping: Mapping[str, str]) -> dict[str, str]:
@@ -258,12 +243,13 @@ def build_lexicon(
 ) -> Lexicon:
     """Count candidate terms per unit text (binary) and keep the frequent ones.
 
-    Each entry refers to a unit by its position in ``units``. The thesaurus
-    is applied before counting, so merged variants pool their unit sets; a
-    term whose normalized form equals a stoplist word never enters.
-    Exclusions are not applied here but after the relevance cut, by
-    ``select_top_terms``. Reordering the units only permutes the positions
-    in each entry.
+    Returns one entry per term that occurs in ``min_occurrences`` or more
+    units, in ascending term order. Each entry refers to a unit by its
+    position in ``units``. The thesaurus is applied before counting, so
+    merged variants pool their unit sets; a term whose normalized form
+    equals a stoplist word never enters. Exclusions are not applied here but
+    after the relevance cut, by ``select_top_terms``. Reordering the units
+    only permutes the positions in each entry.
     """
     if min_occurrences < 1:
         raise ConfigError(f"min_occurrences must be >= 1, got {min_occurrences}")
@@ -300,7 +286,7 @@ def build_lexicon(
 
     kept = sorted(term for term, per_term in counts.items() if len(per_term) >= min_occurrences)
     # units are counted in order, so each count dict is already ascending by position
-    return Lexicon({term: LexiconEntry(term, counts[term]) for term in kept})
+    return tuple(LexiconEntry(term, counts[term]) for term in kept)
 
 
 def parse_word_list(text: str) -> list[str]:

@@ -28,7 +28,7 @@ from citemap.network import (
     top_count,
 )
 from citemap.pipeline import PipelineConfig, analyze, compare_networks, run_pipeline
-from citemap.terms import Lexicon, LexiconEntry
+from citemap.terms import LexiconEntry
 
 from conftest import network, sim
 
@@ -76,11 +76,7 @@ def test_criterion_02_counting_oracle():
             if len(incidence) < 2:
                 continue
             corpora += 1
-            entries = {
-                term: LexiconEntry(term, dict(sorted(hits.items())))
-                for term, hits in sorted(incidence.items())
-            }
-            lexicon = Lexicon(entries)
+            lexicon = tuple(LexiconEntry(term, dict(sorted(hits.items()))) for term, hits in sorted(incidence.items()))
             units = [""] * n_units
             for mode in ("binary", "full"):
                 net = count_cooccurrences(units, lexicon, mode)
@@ -279,8 +275,7 @@ def test_criterion_10_frequency_table_format():
         counts = {"journal": 17, "impact": 11, "impact factor": 8, "journal impact factor": 6}
         net = network(counts, {(0, 1): 1, (1, 2): 1, (2, 3): 1})
         clustering = Clustering((1, 1, 1, 1), 0.0)
-        table = frequency_table(net, clustering, cluster_id=1, k=4)
-        assert table.rows == (
+        assert frequency_table(net, clustering, cluster_id=1, k=4) == (
             ("journal", 17),
             ("impact", 11),
             ("impact factor", 8),

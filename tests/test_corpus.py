@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import re
 import warnings
 
 import pytest
@@ -12,12 +14,15 @@ from citemap.corpus import (
     CitationContext,
     Document,
     DocumentSet,
+    check_field_types,
     dataset_stats,
     load_corpus,
     normalize_doi,
     write_corpus,
 )
-from citemap.errors import CitemapWarning, ParseError
+from citemap.errors import CitemapWarning, ConfigError, ConsistencyError, ParseError
+from citemap.pipeline import PipelineConfig
+from citemap.terms import CITATION_CONTEXT, make_units
 
 from conftest import ctx, doc
 
@@ -84,6 +89,55 @@ class TestCitationContext:
     def test_field_types_checked(self, fields):
         with pytest.raises(TypeError, match=f"^{next(iter(fields))} must be"):
             CitationContext(**{"citing_id": "a", "cited_id": "b", "text": "x", **fields})
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("record", [doc("a"), ctx("r", "c"), PipelineConfig()], ids=lambda r: type(r).__name__)
+    def test_every_annotation_is_checked(self, record):
+        # a field whose annotation check_field_types does not know fails here, not in a user's run
+        check_field_types(record)
+        for name, spec in record.__dataclass_fields__.items():
+            wrong = copy.copy(record)
+            object.__setattr__(wrong, name, object())
+            with pytest.raises(TypeError, match=rf"^{name} must be {re.escape(spec.type)}, got <object"):
+                check_field_types(wrong)
+
+    def test_bool_refused_for_year_and_ordinal(self):
+        with pytest.raises(TypeError, match=r"^year must be int \| None, got True$"):
+            doc("a", year=True)
+        with pytest.raises(TypeError, match="^ordinal must be int, got True$"):
+            ctx("r", "c", ordinal=True)
+
+    def test_bool_refused_for_seed(self):
+        with pytest.raises(ConfigError, match="^seed must be int, got True$"):
+            PipelineConfig.from_mapping({"seed": True})
+        with pytest.raises(ConfigError, match="^seed must be int, got True$"):
+            PipelineConfig(seed=True).validate()  # a config built in code is checked too
+
+
+class TestContextIdentity:
+    def test_key_and_name(self):
+        c = ctx("r", "c", ordinal=2)
+        assert c.key == ("r", "c", 2)
+        assert str(c) == "('r' -> 'c' #2)"
+
+    def test_load_and_units_name_a_repeated_context_alike(self, tmp_path):
+        # the ids hold a quote, an arrow and a hash; both messages must print the one name str(ctx) gives
+        repeated = ctx("o'hara -> x", "#1 'c'", "snippet", ordinal=3)
+        path = tmp_path / "repeated.jsonl"
+        write_lines(path, [{"kind": "context", "citing_id": repeated.citing_id, "cited_id": repeated.cited_id,
+                            "text": "snippet", "ordinal": 3}] * 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_corpus(path)
+        duplicate, *dangling = [str(w.message) for w in caught]
+        assert duplicate == f"{path}:2: duplicate context {repeated} ignored"
+        assert dangling == [f"{path}:1: context {repeated} references unknown document(s) "
+                            f"{[repeated.citing_id, repeated.cited_id]}"]
+        with pytest.raises(ConsistencyError) as raised:
+            make_units([repeated, repeated], CITATION_CONTEXT)
+        assert str(raised.value) == f"duplicate context {repeated}"
+        assert str(repeated) == """("o'hara -> x" -> "#1 'c'" #3)"""
 
 
 class TestDocumentSet:

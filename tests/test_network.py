@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import math
 import random
 import warnings
@@ -29,11 +30,20 @@ from conftest import network
 
 
 def lexicon_from(unit_counts: dict[str, dict[int, int]]) -> Lexicon:
-    entries = {
-        term: LexiconEntry(term, dict(sorted(counts.items())))
-        for term, counts in sorted(unit_counts.items())
-    }
-    return Lexicon(entries)
+    return tuple(LexiconEntry(term, dict(sorted(counts.items()))) for term, counts in sorted(unit_counts.items()))
+
+
+def compensated_sum(values, start=0):
+    """The builtin sum() of Python 3.12 on: Neumaier-compensated over floats, exact over ints."""
+    values = list(values)
+    if all(isinstance(v, int) for v in values):
+        return builtins.sum(values, start)
+    total, compensation = float(start), 0.0
+    for v in values:
+        t = total + v
+        compensation += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + compensation
 
 
 def unit_texts(n: int) -> list[str]:
@@ -252,6 +262,15 @@ class TestRelevanceScores:
     def test_deterministic(self):
         net = network({"a": 1, "b": 2, "c": 1}, {(0, 1): 1, (1, 2): 1})
         assert relevance_scores(net) == relevance_scores(net)
+
+    def test_scores_keep_their_bits_under_a_compensated_sum(self, monkeypatch):
+        # from Python 3.12 the builtin sum() compensates float rounding; the scores must not depend on it
+        rng = random.Random(11)
+        edges = {(i, j): rng.randint(1, 9) for i, j in combinations(range(40), 2) if rng.random() < 0.4}
+        net = network({f"t{k:02d}": 1 for k in range(40)}, edges)
+        plain = relevance_scores(net)
+        monkeypatch.setattr("citemap.network.sum", compensated_sum, raising=False)
+        assert relevance_scores(net) == plain
 
 
 def scored_network(n: int):

@@ -30,6 +30,10 @@ from citemap.terms import (
 from conftest import ctx, doc
 
 
+def by_term(lexicon) -> dict:
+    return {entry.term: entry for entry in lexicon}
+
+
 class TestSegment:
     def test_empty(self):
         assert segment("") == []
@@ -278,14 +282,14 @@ class TestBuildLexicon:
     def test_binary_counting_within_unit(self):
         units = ["factor. factor. factor. factor. factor."]
         lexicon = build_lexicon(units, min_occurrences=1)
-        assert lexicon.occurrence_count("factor") == 1
-        assert lexicon.terms["factor"].unit_counts == {0: 5}
+        assert by_term(lexicon)["factor"].occurrence_count == 1
+        assert by_term(lexicon)["factor"].unit_counts == {0: 5}
 
     def test_thesaurus_pools_unit_sets(self):
         units = ["the jif"] * 2 + ["the journal impact factor"] * 3
         lexicon = build_lexicon(units, min_occurrences=1, stoplist={"the"},
                                 thesaurus={"jif": "journal impact factor"})
-        assert lexicon.occurrence_count("journal impact factor") == 5
+        assert by_term(lexicon)["journal impact factor"].occurrence_count == 5
 
     def test_thesaurus_cycle_rejected(self):
         with pytest.raises(ConfigError, match="cycle"):
@@ -295,7 +299,7 @@ class TestBuildLexicon:
         # the lexicon keeps an excluded term; the relevance cut drops it
         units = ["the impact factor"] * 4
         lexicon = build_lexicon(units, min_occurrences=4, stoplist={"the"})
-        assert {"impact factor", "factor"} <= set(lexicon.terms)
+        assert {"impact factor", "factor"} <= set(by_term(lexicon))
         net = count_cooccurrences(units, lexicon)
         selected = select_top_terms(net, relevance_scores(net), 1.0, {"impact factor"})
         assert selected.term_strings == ("factor",)
@@ -304,12 +308,12 @@ class TestBuildLexicon:
         units = ["the factor grows"]
         lexicon = build_lexicon(units, min_occurrences=1, stoplist={"the"},
                                 thesaurus={"grows": "the"})
-        assert "the" not in lexicon
+        assert "the" not in by_term(lexicon)
 
     def test_author_citations_do_not_become_terms(self):
         units = ["as Moed et al. argued, citation analysis matters"] * 2
         lexicon = build_lexicon(units, min_occurrences=1, stoplist={"as", "argued"})
-        assert "moed" not in lexicon
+        assert "moed" not in by_term(lexicon)
 
     def test_min_occurrences_validated(self):
         with pytest.raises(ConfigError):
@@ -318,7 +322,7 @@ class TestBuildLexicon:
     def test_plural_merge_across_units(self):
         units = ["many factors", "the factor", "more factors"]
         lexicon = build_lexicon(units, min_occurrences=1, stoplist={"many", "the", "more"})
-        assert lexicon.occurrence_count("factor") == 3
+        assert by_term(lexicon)["factor"].occurrence_count == 3
 
     def test_occurrence_counts_bounded_by_units(self):
         units = ["impact factor impact factor"] * 6
@@ -328,11 +332,11 @@ class TestBuildLexicon:
     def test_removing_a_unit_never_raises_counts(self):
         units = ["citation analysis and impact", "impact factor analysis",
                  "citation impact", "analysis of citation analysis"]
-        full = build_lexicon(units, min_occurrences=1, stoplist={"and", "of"})
+        full = by_term(build_lexicon(units, min_occurrences=1, stoplist={"and", "of"}))
         reduced = build_lexicon(units[:-1], min_occurrences=1, stoplist={"and", "of"})
         for entry in reduced:
-            if entry.term in full.terms:
-                assert entry.occurrence_count <= full.occurrence_count(entry.term)
+            if entry.term in full:
+                assert entry.occurrence_count <= full[entry.term].occurrence_count
 
     def test_brute_force_small_corpora(self):
         # naive scan: per unit, count each distinct normalized candidate once
@@ -372,7 +376,7 @@ class TestBuildLexicon:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert lexicon.occurrence_count("maps") == 2000
+        assert by_term(lexicon)["maps"].occurrence_count == 2000
         assert peak < 4_000_000
 
 
@@ -391,7 +395,7 @@ class TestLexiconProperties:
         assert {e.term: e.unit_counts for e in forward} == {
             e.term: {last - k: times for k, times in e.unit_counts.items()} for e in backward
         }
-        assert list(forward.terms) == list(backward.terms)
+        assert [e.term for e in forward] == [e.term for e in backward]
 
     @given(UNIT_TEXTS)
     @settings(max_examples=60, deadline=None)
