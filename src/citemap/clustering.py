@@ -12,7 +12,9 @@ and is optimized recursively. Once that cycle stalls, variable-depth chain
 passes (forced best moves with the best prefix kept) try to escape traps
 that no single improving move can leave. The best of ``restarts`` seeded
 runs wins, ties going to the earliest restart, so results are fully
-deterministic for a fixed (seed, restarts).
+deterministic for a fixed (seed, restarts). A node visit whose result is
+already known (no move since that node last found none) is skipped; such a
+visit draws nothing at random, so the random stream does not change.
 
 Each restart draws only from its own seeded generator, so the restarts run
 side by side in forked worker processes, one per CPU of this process's
@@ -35,9 +37,10 @@ from .network import SimilarityMatrix
 
 _MAX_ROUNDS = 1000  # safety stop; local moving terminates long before this
 _CHAIN_PATIENCE = 8  # failed variable-depth attempts per restart before giving up
-# Forking, piping and reaping the workers costs 4-9 ms with a 50-80 MB parent
-# (2-CPU VM), which ten restarts earn back from about 10-30 edges up; below
-# this, and so on every graph of <= 8 nodes, restarts run in this process.
+# Forking, piping and reaping the workers costs 6-12 ms with a 60-85 MB parent
+# (2-CPU VM), which ten restarts at resolution 1 earn back from about 6-10
+# edges up; a ~100-edge compare_1k context network saves 65-75 of 170-180 ms.
+# Below this, and so on every graph of <= 8 nodes, restarts run in this process.
 _PARALLEL_MIN_EDGES = 64
 
 
@@ -83,26 +86,6 @@ def _cluster_sizes(sizes: list[int], labels: list[int]) -> dict[int, int]:
     return cluster_size
 
 
-def _gains(row: list[tuple[int, float]], size: int, home: int, labels: list[int],
-           cluster_size: dict[int, int], resolution: float) -> tuple[float, dict[int, float]]:
-    """Worth of a node in each adjacent cluster C: conn(v, C) - resolution * size_v * size_C.
-
-    size_C leaves the node itself out. Returns the worth of staying in
-    ``home`` and label -> worth for every other adjacent cluster, in
-    ascending label order.
-    """
-    connection: dict[int, float] = {home: 0.0}
-    for u, weight in row:
-        label = labels[u]
-        connection[label] = connection.get(label, 0.0) + weight
-    penalty = resolution * size
-    worth: dict[int, float] = {}
-    # plain loops here and in _local_move: per-visit comprehensions made clustering ~13% slower on Python 3.11
-    for label in sorted(connection):
-        worth[label] = connection[label] - penalty * (cluster_size[label] - (size if label == home else 0))
-    return worth.pop(home), worth
-
-
 def _move(v: int, target: int, size: int, labels: list[int], cluster_size: dict[int, int]) -> None:
     home = labels[v]
     cluster_size[home] -= size
@@ -112,36 +95,60 @@ def _move(v: int, target: int, size: int, labels: list[int], cluster_size: dict[
     labels[v] = target
 
 
-def _local_move(adj: _Rows, sizes: list[int], labels: list[int], resolution: float, rng: random.Random) -> None:
-    """Single-node moves until a full pass makes none.
+def _local_move(adj: _Rows, sizes: list[int], labels: list[int], resolution: float,
+                rng: random.Random, settled: bool = False) -> bool:
+    """Single-node moves until a full pass makes none; returns True when any node moved.
 
     Each visit takes one target drawn at random among the strictly improving
     ones (not the single best), so restarts explore different basins; the
     fixpoint criterion is the same either way: no single move improves Q.
+    A visit that finds no move stamps its node with the current epoch and
+    every move starts a new one, so a node stamped in this epoch is skipped:
+    its visit would find no move again and draw nothing. ``settled`` says
+    the labels are already a fixpoint, so every node starts stamped.
     """
     cluster_size = _cluster_sizes(sizes, labels)
     next_label = max(labels) + 1
+    epoch = 0
+    stamp = [epoch if settled else -1] * len(adj)
     for _ in range(_MAX_ROUNDS):
-        improved = False
+        round_start = epoch
         order = list(range(len(adj)))
         rng.shuffle(order)
         for v in order:
-            stay, gains = _gains(adj[v], sizes[v], labels[v], labels, cluster_size, resolution)
+            if stamp[v] == epoch:
+                continue
+            home, size = labels[v], sizes[v]
+            # written out here and in _chain_pass, in plain loops: per-visit comprehensions
+            # and a shared per-visit helper each made clustering slower on Python 3.11
+            connection: dict[int, float] = {}
+            for u, weight in adj[v]:
+                label = labels[u]
+                connection[label] = connection.get(label, 0.0) + weight
+            # worth in cluster C: conn(v, C) - resolution * size_v * size_C, size_C without v
+            penalty = resolution * size
+            stay = connection.pop(home, 0.0) - penalty * (cluster_size[home] - size)
             improving = []
-            for label, value in gains.items():
-                if value > stay:
+            for label, conn in connection.items():
+                if conn - penalty * cluster_size[label] > stay:
                     improving.append(label)
             if 0.0 > stay:  # a fresh singleton cluster contributes nothing
                 improving.append(next_label)
             if not improving:
+                stamp[v] = epoch
                 continue
-            target = improving[0] if len(improving) == 1 else rng.choice(improving)
-            _move(v, target, sizes[v], labels, cluster_size)
+            if len(improving) == 1:
+                target = improving[0]
+            else:
+                improving.sort()  # the draw is over ascending labels, next_label the highest
+                target = rng.choice(improving)
+            _move(v, target, size, labels, cluster_size)
             if target == next_label:
                 next_label += 1
-            improved = True
-        if not improved:
+            epoch += 1
+        if epoch == round_start:
             break
+    return epoch > 0
 
 
 def _aggregate(adj: _Rows, sizes: list[int], labels: list[int]) -> tuple[_Rows, list[int], dict[int, int]]:
@@ -192,23 +199,27 @@ def _refine(adj: _Rows, sizes: list[int], labels: list[int],
     return refined, parent
 
 
-def _slm(adj: _Rows, sizes: list[int], resolution: float,
-         rng: random.Random, init_labels: list[int]) -> list[int]:
+def _slm(adj: _Rows, sizes: list[int], resolution: float, rng: random.Random,
+         init_labels: list[int], settled: bool = False) -> tuple[list[int], bool]:
+    """One SLM cycle from ``init_labels``; also returns True when they were a local-move fixpoint.
+
+    ``settled`` passes that knowledge back in, so the first local move only shuffles.
+    """
     labels = list(init_labels)
-    _local_move(adj, sizes, labels, resolution, rng)
+    settled = not _local_move(adj, sizes, labels, resolution, rng, settled)
     if len(set(labels)) == len(adj):
-        return labels
+        return labels, settled
     refined, parent = _refine(adj, sizes, labels, resolution, rng)
     agg_adj, agg_sizes, remap = _aggregate(adj, sizes, refined)
     if len(agg_adj) == len(adj):
         # refinement split everything back to singletons: the aggregate is
         # this graph again and its local move already ran to a fixpoint
-        return labels
+        return labels, settled
     agg_init = [0] * len(agg_adj)
     for refined_label, agg_node in remap.items():
         agg_init[agg_node] = parent[refined_label]
-    agg_labels = _slm(agg_adj, agg_sizes, resolution, rng, agg_init)
-    return [agg_labels[remap[refined[v]]] for v in range(len(adj))]
+    agg_labels, _ = _slm(agg_adj, agg_sizes, resolution, rng, agg_init)
+    return [agg_labels[remap[refined[v]]] for v in range(len(adj))], settled
 
 
 def _chain_pass(adj: _Rows, sizes: list[int], labels: list[int], resolution: float, rng: random.Random) -> bool:
@@ -226,12 +237,22 @@ def _chain_pass(adj: _Rows, sizes: list[int], labels: list[int], resolution: flo
     chain: list[tuple[int, int]] = []
     cum, best_cum, best_len = 0.0, 0.0, 0
     for v in order:
-        home = labels[v]
-        stay, gains = _gains(adj[v], sizes[v], home, labels, cluster_size, resolution)
-        # a fresh singleton is the fallback; ties keep the earliest
-        best_label, best_value = max([(next_label, 0.0), *gains.items()], key=lambda gain: gain[1])
+        home, size = labels[v], sizes[v]
+        connection: dict[int, float] = {}
+        for u, weight in adj[v]:
+            label = labels[u]
+            connection[label] = connection.get(label, 0.0) + weight
+        # worth in cluster C: conn(v, C) - resolution * size_v * size_C, size_C without v
+        penalty = resolution * size
+        stay = connection.pop(home, 0.0) - penalty * (cluster_size[home] - size)
+        # a fresh singleton is the fallback; ties keep it, then the lowest label
+        best_label, best_value = next_label, 0.0
+        for label in sorted(connection):
+            value = connection[label] - penalty * cluster_size[label]
+            if value > best_value:
+                best_label, best_value = label, value
         cum += best_value - stay
-        _move(v, best_label, sizes[v], labels, cluster_size)
+        _move(v, best_label, size, labels, cluster_size)
         if best_label == next_label:
             next_label += 1
         chain.append((v, home))
@@ -260,18 +281,19 @@ def _restart(sim: SimilarityMatrix, adj: _Rows, resolution: float, seed: int, re
     labels = list(range(n))
     current = quality(sim, labels, resolution)
     failures = 0
+    settled = False  # labels are a fixpoint of single-node moves
     for _ in range(_MAX_ROUNDS):  # iterate the full cycle while Q improves
-        candidate = _slm(adj, [1] * n, resolution, rng, labels)
+        candidate, settled = _slm(adj, [1] * n, resolution, rng, labels, settled)
         candidate_quality = quality(sim, candidate, resolution)
         if candidate_quality > current:
-            labels, current = candidate, candidate_quality
+            labels, current, settled = candidate, candidate_quality, False
             failures = 0
             continue
         escaped = list(labels)
         if _chain_pass(adj, [1] * n, escaped, resolution, rng):
             escaped_quality = quality(sim, escaped, resolution)
             if escaped_quality > current:
-                labels, current = escaped, escaped_quality
+                labels, current, settled = escaped, escaped_quality, False
                 failures = 0
                 continue
         failures += 1
