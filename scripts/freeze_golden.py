@@ -12,6 +12,7 @@ import json
 import shutil
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -38,5 +39,5 @@ if __name__ == "__main__":
                 shutil.copyfile(path, GOLDEN_DIR / name)
             print(f"froze {GOLDEN_DIR / name}")
     COMPARISON_GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    write_json(COMPARISON_GOLDEN, compare_networks(PipelineConfig(corpus=str(builtin_corpus_path("planted")))).to_dict())
+    write_json(COMPARISON_GOLDEN, asdict(compare_networks(PipelineConfig(corpus=str(builtin_corpus_path("planted"))))))
     print(f"froze {COMPARISON_GOLDEN}")

@@ -18,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from citemap.corpus import CitationContext, Document, DocumentSet, write_corpus
+from citemap.corpus import CitationContext, Document, write_corpus
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "citemap" / "data"
 
@@ -102,14 +102,14 @@ def _abstract(rng: random.Random, pool: list[str], n_sentences: int, terms_per_s
 
 def make_demo() -> Path:
     rng = random.Random(20170607)
-    docs = DocumentSet()
+    docs = []
     n_cited, n_citing = 18, 22
     # skew the pool so roughly half the terms clear the default threshold of 4
     weighted_pool = TOPIC_TERMS[:10] * 3 + TOPIC_TERMS[10:]
     for k in range(1, n_cited + 1):
         title = _sentence(rng, weighted_pool, rng.randint(1, 2)).rstrip(".")
         abstract = _abstract(rng, weighted_pool, rng.randint(2, 3), (2, 3))
-        docs.add(Document(
+        docs.append(Document(
             id=f"C{k:03d}",
             title=title,
             set_tag="cited",
@@ -123,9 +123,8 @@ def make_demo() -> Path:
         abstract = _abstract(rng, citing_pool, rng.randint(2, 3), (2, 3))
         # two citing papers share a DOI with a cited paper (the overlap)
         doi = f"10.1000/demo.cited.{k:03d}" if k <= 2 else f"10.1000/demo.citing.{k:03d}"
-        doc_id = f"C{k:03d}" if False else f"R{k:03d}"
-        docs.add(Document(
-            id=doc_id,
+        docs.append(Document(
+            id=f"R{k:03d}",
             title=title,
             set_tag="citing",
             doi=doi,
@@ -148,10 +147,10 @@ def make_planted() -> Path:
     n_shared = round(PLANTED_SHARED_FRACTION * len(PLANTED_FRESH_TERMS) / (1 - PLANTED_SHARED_FRACTION))
     shared = TOPIC_TERMS[:n_shared]
     citing_pool = shared + PLANTED_FRESH_TERMS  # 30% shared, 70% fresh
-    docs = DocumentSet()
+    docs = []
     n_cited, n_citing = 30, 40
     for k in range(1, n_cited + 1):
-        docs.add(Document(
+        docs.append(Document(
             id=f"P{k:03d}",
             title=_sentence(rng, TOPIC_TERMS, rng.randint(1, 2)).rstrip("."),
             set_tag="cited",
@@ -160,7 +159,7 @@ def make_planted() -> Path:
             year=1960 + k,
         ))
     for k in range(1, n_citing + 1):
-        docs.add(Document(
+        docs.append(Document(
             id=f"Q{k:03d}",
             title=_sentence(rng, citing_pool, rng.randint(1, 2)).rstrip("."),
             set_tag="citing",

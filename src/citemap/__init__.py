@@ -20,7 +20,6 @@ from .corpus import (
     CitationContext,
     CorpusStats,
     Document,
-    DocumentSet,
     dataset_stats,
     load_corpus,
     write_corpus,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import CitemapError, CitemapWarning, ConfigError, StageError
@@ -109,7 +110,7 @@ def cmd_staged(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     report = compare_networks(config)
-    paths = write_files(config.out_dir, {"comparison.json": lambda p: write_json(p, report.to_dict())})
+    paths = write_files(config.out_dir, {"comparison.json": lambda p: write_json(p, asdict(report))})
     path = paths["comparison.json"]
     for metric in ("jaccard", "cosine"):
         matrix = getattr(report, metric)

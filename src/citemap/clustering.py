@@ -151,38 +151,38 @@ def _local_move(adj: _Rows, sizes: list[int], labels: list[int], resolution: flo
     return epoch > 0
 
 
-def _aggregate(adj: _Rows, sizes: list[int], labels: list[int]) -> tuple[_Rows, list[int], dict[int, int]]:
-    """Collapse clusters into nodes; inter-cluster weights are summed."""
-    remap = {label: index for index, label in enumerate(sorted(set(labels)))}
-    new_sizes = [0] * len(remap)
+def _aggregate(adj: _Rows, sizes: list[int], labels: list[int], k: int) -> tuple[_Rows, list[int]]:
+    """Collapse clusters 0..k-1 into nodes 0..k-1; inter-cluster weights are summed."""
+    new_sizes = [0] * k
     for v, label in enumerate(labels):
-        new_sizes[remap[label]] += sizes[v]
-    rows: list[dict[int, float]] = [{} for _ in remap]
+        new_sizes[label] += sizes[v]
+    rows: list[dict[int, float]] = [{} for _ in range(k)]
     for v, row in enumerate(adj):
-        a = remap[labels[v]]
+        a = labels[v]
         for u, weight in row:
             if u <= v:
                 continue
-            b = remap[labels[u]]
+            b = labels[u]
             if a == b:
                 continue  # internal weight never affects a whole-node move
             rows[a][b] = rows[a].get(b, 0.0) + weight
             rows[b][a] = rows[b].get(a, 0.0) + weight
-    return [sorted(row.items()) for row in rows], new_sizes, remap
+    return [sorted(row.items()) for row in rows], new_sizes
 
 
 def _refine(adj: _Rows, sizes: list[int], labels: list[int],
-            resolution: float, rng: random.Random) -> tuple[list[int], dict[int, int]]:
+            resolution: float, rng: random.Random) -> tuple[list[int], list[int]]:
     """Re-cluster each cluster's induced subnetwork from singletons.
 
-    Returns the refined labels plus refined-label -> parent-label, so the
-    aggregate network can start from the unrefined partition.
+    Returns the refined labels, numbered 0..K-1 in order of first appearance,
+    plus each refined label's parent label, so the aggregate network can
+    start from the unrefined partition.
     """
     groups: dict[int, list[int]] = {}
     for v, label in enumerate(labels):
         groups.setdefault(label, []).append(v)
     refined = [0] * len(adj)
-    parent: dict[int, int] = {}
+    parent: list[int] = []
     for cluster_label in sorted(groups):
         members = groups[cluster_label]
         local = {v: k for k, v in enumerate(members)}
@@ -194,7 +194,7 @@ def _refine(adj: _Rows, sizes: list[int], labels: list[int],
             block = sub_labels[local[v]]
             if block not in block_ids:
                 block_ids[block] = len(parent)
-                parent[block_ids[block]] = cluster_label
+                parent.append(cluster_label)
             refined[v] = block_ids[block]
     return refined, parent
 
@@ -210,16 +210,13 @@ def _slm(adj: _Rows, sizes: list[int], resolution: float, rng: random.Random,
     if len(set(labels)) == len(adj):
         return labels, settled
     refined, parent = _refine(adj, sizes, labels, resolution, rng)
-    agg_adj, agg_sizes, remap = _aggregate(adj, sizes, refined)
-    if len(agg_adj) == len(adj):
-        # refinement split everything back to singletons: the aggregate is
-        # this graph again and its local move already ran to a fixpoint
+    if len(parent) == len(adj):
+        # refinement split everything back to singletons: the aggregate would
+        # be this graph again, and its local move already ran to a fixpoint
         return labels, settled
-    agg_init = [0] * len(agg_adj)
-    for refined_label, agg_node in remap.items():
-        agg_init[agg_node] = parent[refined_label]
-    agg_labels, _ = _slm(agg_adj, agg_sizes, resolution, rng, agg_init)
-    return [agg_labels[remap[refined[v]]] for v in range(len(adj))], settled
+    agg_adj, agg_sizes = _aggregate(adj, sizes, refined, len(parent))
+    agg_labels, _ = _slm(agg_adj, agg_sizes, resolution, rng, parent)
+    return [agg_labels[label] for label in refined], settled
 
 
 def _chain_pass(adj: _Rows, sizes: list[int], labels: list[int], resolution: float, rng: random.Random) -> bool:

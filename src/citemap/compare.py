@@ -28,14 +28,6 @@ class ComparisonReport:
     ordering_holds: dict[str, bool]
     shared_terms: dict[str, tuple[str, ...]]
 
-    def to_dict(self) -> dict:
-        return {
-            "jaccard": self.jaccard,
-            "cosine": self.cosine,
-            "ordering_holds": self.ordering_holds,
-            "shared_terms": {pair: list(terms) for pair, terms in self.shared_terms.items()},
-        }
-
 
 def frequency_table(net: CoocNetwork, clustering: Clustering, cluster_id: int, k: int) -> tuple[tuple[str, int], ...]:
     """The k most frequent terms of one cluster: ``(term, occurrences)`` rows,

@@ -10,6 +10,8 @@ attempted.
 Dump format: UTF-8 JSONL, LF line endings. Each line is an object with
 ``"kind": "document"`` (fields: id, doi, title, abstract, year, set_tag) or
 ``"kind": "context"`` (fields: citing_id, cited_id, text, ordinal).
+``load_corpus`` returns the documents as a tuple and the contexts as a list,
+both in file order; a collection of documents is any sequence of them.
 
 A field's type is its dataclass annotation, checked by ``check_field_types``.
 A context's identity is ``CitationContext.key``, its name in messages ``str(ctx)``.
@@ -24,7 +26,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import NoneType
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
 from .errors import CitemapWarning, ParseError
 
@@ -121,46 +123,6 @@ class CitationContext:
         return f"({self.citing_id!r} -> {self.cited_id!r} #{self.ordinal})"
 
 
-class DocumentSet:
-    """Ordered, duplicate-free collection of documents (insertion order kept)."""
-
-    def __init__(self, documents: Iterable[Document] = ()):
-        self._docs: dict[str, Document] = {}
-        for doc in documents:
-            if not self.add(doc):
-                raise ValueError(f"duplicate document id {doc.id!r}")
-
-    def add(self, doc: Document) -> bool:
-        """Insert a document; first occurrence of an id wins. Returns False on duplicate."""
-        if doc.id in self._docs:
-            return False
-        self._docs[doc.id] = doc
-        return True
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(self._docs)
-
-    def filter_tag(self, set_tag: str) -> "DocumentSet":
-        return DocumentSet(d for d in self if d.set_tag == set_tag)
-
-    def __iter__(self) -> Iterator[Document]:
-        return iter(self._docs.values())
-
-    def __len__(self) -> int:
-        return len(self._docs)
-
-    def __contains__(self, doc_id: object) -> bool:
-        return doc_id in self._docs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DocumentSet):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return f"DocumentSet(n={len(self)})"
-
-
 @dataclass(frozen=True)
 class CorpusStats:
     """Descriptive totals for a cited/citing corpus."""
@@ -170,15 +132,6 @@ class CorpusStats:
     n_contexts: int
     n_overlap: int
     contexts_per_cited: dict[str, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "n_cited": self.n_cited,
-            "n_citing": self.n_citing,
-            "n_contexts": self.n_contexts,
-            "n_overlap": self.n_overlap,
-            "contexts_per_cited": dict(sorted(self.contexts_per_cited.items())),
-        }
 
 
 def _document_from_record(record: dict) -> Document:
@@ -192,8 +145,8 @@ def _context_from_record(record: dict) -> CitationContext:
     return CitationContext(**{name: record[name] for name in CitationContext.__dataclass_fields__ if name in record})
 
 
-def load_corpus(path: str | Path, data: bytes | None = None) -> tuple[DocumentSet, list[CitationContext]]:
-    """Parse a corpus dump and return ``(documents, contexts)`` in file order.
+def load_corpus(path: str | Path, data: bytes | None = None) -> tuple[tuple[Document, ...], list[CitationContext]]:
+    """Parse a corpus dump and return ``(documents, contexts)``, a tuple and a list in file order.
 
     ``data`` is the dump's bytes, already read from ``path``; when None, the
     file is read here. Either way ``path`` names the dump in messages.
@@ -206,7 +159,7 @@ def load_corpus(path: str | Path, data: bytes | None = None) -> tuple[DocumentSe
     path = Path(path)
     if data is None:
         data = path.read_bytes()
-    docs = DocumentSet()
+    docs: dict[str, Document] = {}
     contexts: list[CitationContext] = []
     context_lines: list[int] = []
     context_keys: set[tuple[str, str, int]] = set()
@@ -224,8 +177,10 @@ def load_corpus(path: str | Path, data: bytes | None = None) -> tuple[DocumentSe
             try:
                 if kind == "document":
                     doc = _document_from_record(record)
-                    if not docs.add(doc):
+                    if doc.id in docs:
                         warnings.warn(f"{path}:{lineno}: duplicate document id {doc.id!r} ignored", CitemapWarning, stacklevel=2)
+                    else:
+                        docs[doc.id] = doc
                 elif kind == "context":
                     ctx = _context_from_record(record)
                     if ctx.key in context_keys:
@@ -243,10 +198,10 @@ def load_corpus(path: str | Path, data: bytes | None = None) -> tuple[DocumentSe
         if missing:
             warnings.warn(f"{path}:{lineno}: context {ctx} references unknown document(s) {missing}",
                           CitemapWarning, stacklevel=2)
-    return docs, contexts
+    return tuple(docs.values()), contexts
 
 
-def write_corpus(path: str | Path, docs: DocumentSet, contexts: Iterable[CitationContext]) -> Path:
+def write_corpus(path: str | Path, docs: Iterable[Document], contexts: Iterable[CitationContext]) -> Path:
     """Write a corpus dump (inverse of load_corpus). Deterministic bytes."""
     path = Path(path)
     records = [{"kind": "document", **asdict(doc)} for doc in docs]
@@ -256,7 +211,8 @@ def write_corpus(path: str | Path, docs: DocumentSet, contexts: Iterable[Citatio
     return path
 
 
-def dataset_stats(cited: DocumentSet, citing: DocumentSet, contexts: Iterable[CitationContext]) -> CorpusStats:
+def dataset_stats(cited: Sequence[Document], citing: Sequence[Document],
+                  contexts: Iterable[CitationContext]) -> CorpusStats:
     """Totals plus the cited/citing overlap.
 
     A cited document overlaps the citing set when a citing document matches
@@ -264,7 +220,7 @@ def dataset_stats(cited: DocumentSet, citing: DocumentSet, contexts: Iterable[Ci
     """
     citing_dois = {d.doi for d in citing if d.doi}
     ids_without_doi = {d.id for d in citing if not d.doi}
-    all_citing_ids = set(citing.ids())
+    all_citing_ids = {d.id for d in citing}
     overlap = 0
     for doc in cited:
         if doc.doi:

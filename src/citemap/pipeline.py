@@ -26,7 +26,7 @@ from typing import Callable, Iterable
 from . import __version__
 from .clustering import Clustering, cluster
 from .compare import ComparisonReport, triplet_report
-from .corpus import CorpusStats, check_field_types, dataset_stats, load_corpus
+from .corpus import SET_TAGS, CorpusStats, Document, check_field_types, dataset_stats, load_corpus
 from .errors import CitemapError, ConfigError, StageError
 from .exports import export_graph_json, export_map, export_network, export_terms, render_svg, write_json, write_lines
 from .layout import MapLayout, layout
@@ -53,7 +53,7 @@ from .terms import (
 )
 
 MODES = (TITLE_ABSTRACT, CITATION_CONTEXT)
-DOC_SETS = ("cited", "citing", "both")
+DOC_SETS = (*SET_TAGS, "both")
 # setting -> the least value it may take
 MINIMA = {"min_occurrences": 1, "restarts": 1, "seed": 0, "svg_node_scale": 0, "layout_max_iter": 1, "layout_tol": 0}
 
@@ -208,18 +208,18 @@ class Run:
         self.corpus_digest = _sha256(data)
         self.word_lists = _stage("ingest", _resolve_word_lists, config)
 
+    def _tagged(self, doc_set: str) -> tuple[Document, ...]:
+        """The documents of one ``DOC_SETS`` entry, in corpus order."""
+        return tuple(doc for doc in self.documents if doc_set in (doc.set_tag, "both"))
+
     @cached_property
     def corpus_stats(self) -> CorpusStats:
-        docs = self.documents
-        return dataset_stats(docs.filter_tag("cited"), docs.filter_tag("citing"), self.contexts)
+        return dataset_stats(self._tagged("cited"), self._tagged("citing"), self.contexts)
 
     @cached_property
     def units(self) -> list[str]:
         config = self.config
-        if config.mode == CITATION_CONTEXT:
-            source = self.contexts
-        else:
-            source = self.documents if config.doc_set == "both" else self.documents.filter_tag(config.doc_set)
+        source = self.contexts if config.mode == CITATION_CONTEXT else self._tagged(config.doc_set)
         units = _stage("units", make_units, source, config.mode)
         if not units:
             raise StageError("units", ValueError(f"no units for mode {config.mode!r} / set {config.doc_set!r}"))
@@ -303,7 +303,7 @@ WRITERS: dict[str, Callable[[Run], Callable[[Path], object]]] = {
     "graph.json": lambda r: partial(export_graph_json, r.network, r.similarity, r.map_layout, r.clustering),
     "map.svg": lambda r: partial(render_svg, r.map_layout, r.network, r.clustering,
                                  sim=r.similarity, node_scale=r.config.svg_node_scale),
-    "corpus_stats.json": lambda r: partial(write_json, payload=r.corpus_stats.to_dict()),
+    "corpus_stats.json": lambda r: partial(write_json, payload=asdict(r.corpus_stats)),
     "manifest.json": lambda r: partial(write_json, payload=build_manifest(r, OUTPUT_NAMES)),
 }
 # the export subcommand's files: the map, its network, and their JSON and SVG renderings

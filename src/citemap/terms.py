@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Container, Iterable, Mapping, Sequence
 
-from .corpus import CitationContext, Document, DocumentSet
+from .corpus import CitationContext, Document
 from .errors import ConfigError, ConsistencyError, ParseError
 
 TITLE_ABSTRACT = "title-abstract"
@@ -167,7 +167,7 @@ def extract_candidates(
     ]
 
 
-def make_units(source: DocumentSet | Iterable[CitationContext], mode: str) -> list[str]:
+def make_units(source: Iterable[Document] | Iterable[CitationContext], mode: str) -> list[str]:
     """The texts of the units, in the order of ``source``.
 
     ``title-abstract`` concatenates title and abstract (title alone when the

@@ -320,6 +320,32 @@ class TestFixpointPass:
         assert rng.getstate() == twin.getstate()
 
 
+class InOrder(random.Random):
+    """A generator whose shuffle keeps the order, so a pass visits nodes 0, 1, 2, ..."""
+
+    def shuffle(self, x) -> None:
+        pass
+
+
+class TestChainPassTies:
+    """Node 0 moves first and its move is the chain's best prefix; the others' moves are undone."""
+
+    def test_tied_clusters_go_to_the_lowest_label(self):
+        # node 0 is a singleton tied to nodes 1 and 2 (labels 1 and 2): worth 2 - 1 = 1 in each
+        adj = [[(1, 2.0), (2, 2.0)], [(0, 2.0)], [(0, 2.0)]]
+        labels = [0, 1, 2]
+        assert clustering_module._chain_pass(adj, [1, 1, 1], labels, 1.0, InOrder())
+        assert labels == [1, 1, 2]
+
+    def test_fresh_singleton_wins_a_tie_at_zero(self):
+        # node 0 leaves a cluster it shares with the unlinked node 1 (stay -1); joining
+        # node 2's cluster is worth 1 - 1 = 0, the same as a fresh singleton (label 2)
+        adj = [[(2, 1.0)], [], [(0, 1.0)]]
+        labels = [0, 0, 1]
+        assert clustering_module._chain_pass(adj, [1, 1, 1], labels, 1.0, InOrder())
+        assert labels == [2, 0, 1]
+
+
 def set_cpus(monkeypatch, cpus: int) -> None:
     """Pretend the affinity mask holds ``cpus`` CPUs, and let any network fork."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))

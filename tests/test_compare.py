@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -188,7 +189,7 @@ class TestTripletReport:
 
     def test_json_serialization_shape(self, tmp_path):
         net = network({"a": 2, "b": 3}, {(0, 1): 1})
-        write_json(tmp_path / "comparison.json", triplet_report(net, net, net).to_dict())
+        write_json(tmp_path / "comparison.json", asdict(triplet_report(net, net, net)))
         payload = json.loads((tmp_path / "comparison.json").read_text(encoding="utf-8"))
         assert set(payload) == {"jaccard", "cosine", "ordering_holds", "shared_terms"}
         assert set(payload["jaccard"]) == {"cited", "citing", "context"}

@@ -13,7 +13,6 @@ from citemap.cli import main
 from citemap.corpus import (
     CitationContext,
     Document,
-    DocumentSet,
     check_field_types,
     dataset_stats,
     load_corpus,
@@ -141,19 +140,22 @@ class TestContextIdentity:
 
 
 class TestDocumentSet:
-    def test_insertion_order_kept(self):
-        ds = DocumentSet([doc("b"), doc("a"), doc("c")])
-        assert ds.ids() == ("b", "a", "c")
+    """The documents load_corpus returns: a tuple in file order, one per id."""
 
-    def test_first_wins_on_add(self):
-        ds = DocumentSet()
-        ds.add(doc("a", title="first"))
-        assert not ds.add(doc("a", title="second"))
-        assert [d.title for d in ds] == ["first"]
+    def test_insertion_order_kept(self, tmp_path):
+        path = write_corpus(tmp_path / "order.jsonl", (doc("b"), doc("a"), doc("c")), [])
+        docs, _ = load_corpus(path)
+        assert tuple(d.id for d in docs) == ("b", "a", "c")
 
-    def test_filter_tag(self):
-        ds = DocumentSet([doc("a", "cited"), doc("b", "citing"), doc("c", "cited")])
-        assert ds.filter_tag("cited").ids() == ("a", "c")
+    def test_first_wins_on_add(self, tmp_path):
+        path = tmp_path / "first.jsonl"
+        write_lines(path, [
+            {"kind": "document", "id": "a", "title": "first", "set_tag": "cited"},
+            {"kind": "document", "id": "a", "title": "second", "set_tag": "cited"},
+        ])
+        with pytest.warns(CitemapWarning, match="duplicate document id 'a' ignored"):
+            docs, _ = load_corpus(path)
+        assert [d.title for d in docs] == ["first"]
 
 
 class TestLoadCorpus:
@@ -161,7 +163,7 @@ class TestLoadCorpus:
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")
         docs, contexts = load_corpus(path)
-        assert len(docs) == 0 and contexts == []
+        assert docs == () and contexts == []
 
     def test_documents_and_context(self, tmp_path):
         path = tmp_path / "mini.jsonl"
@@ -190,14 +192,19 @@ class TestLoadCorpus:
     def test_duplicate_id_first_wins_and_warns(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         write_lines(path, [
-            {"kind": "document", "id": "a", "title": "First", "set_tag": "cited"},
-            {"kind": "document", "id": "a", "title": "Second", "set_tag": "cited"},
+            {"kind": "document", "id": "b", "title": "First", "set_tag": "cited"},
+            {"kind": "document", "id": "a", "title": "One", "set_tag": "citing"},
+            {"kind": "document", "id": "b", "title": "Second", "set_tag": "citing"},
+            {"kind": "document", "id": "c", "title": "Two", "set_tag": "cited"},
         ])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             docs, _ = load_corpus(path)
-        assert [(d.id, d.title) for d in docs] == [("a", "First")]
-        assert sum(issubclass(w.category, CitemapWarning) for w in caught) == 1
+        assert type(docs) is tuple  # in file order, without the later duplicate
+        assert [(d.id, d.title, d.set_tag) for d in docs] == [("b", "First", "cited"), ("a", "One", "citing"),
+                                                              ("c", "Two", "cited")]
+        assert [str(w.message) for w in caught] == [f"{path}:3: duplicate document id 'b' ignored"]
+        assert all(issubclass(w.category, CitemapWarning) for w in caught)
 
     def test_duplicate_context_first_wins_and_warns(self, tmp_path):
         path = tmp_path / "dupctx.jsonl"
@@ -258,43 +265,41 @@ class TestLoadCorpus:
         ])
         first = load_corpus(path)
         second = load_corpus(path)
-        assert list(first[0]) == list(second[0])
-        assert first[1] == second[1]
+        assert first == second
 
     def test_round_trip_via_writer(self, tmp_path):
-        docs = DocumentSet([doc("a", "cited", "One", doi="10.1/x", abstract="text", year=1999),
-                            doc("b", "citing", "Two")])
+        docs = (doc("a", "cited", "One", doi="10.1/x", abstract="text", year=1999), doc("b", "citing", "Two"))
         contexts = [ctx("b", "a", "context snippet", 1)]
         path = write_corpus(tmp_path / "rt.jsonl", docs, contexts)
         docs2, contexts2 = load_corpus(path)
-        assert list(docs2) == list(docs)
+        assert docs2 == docs
         assert contexts2 == contexts
 
 
 class TestDatasetStats:
     def test_disjoint_sets(self):
-        cited = DocumentSet([doc("a"), doc("b")])
-        citing = DocumentSet([doc("x", "citing"), doc("y", "citing")])
+        cited = (doc("a"), doc("b"))
+        citing = (doc("x", "citing"), doc("y", "citing"))
         assert dataset_stats(cited, citing, []).n_overlap == 0
 
     def test_two_shared_dois(self):
-        cited = DocumentSet([doc("a", doi="10.1/one"), doc("b", doi="10.1/two"), doc("c")])
-        citing = DocumentSet([
+        cited = (doc("a", doi="10.1/one"), doc("b", doi="10.1/two"), doc("c"))
+        citing = (
             doc("x", "citing", doi="10.1/one"),
             doc("y", "citing", doi="10.1/two"),
             doc("z", "citing", doi="10.1/three"),
-        ])
+        )
         assert dataset_stats(cited, citing, []).n_overlap == 2
 
     def test_id_fallback_when_doi_missing(self):
-        cited = DocumentSet([doc("shared")])
-        citing = DocumentSet([doc("shared", "citing")])
+        cited = (doc("shared"),)
+        citing = (doc("shared", "citing"),)
         assert dataset_stats(cited, citing, []).n_overlap == 1
 
     def test_histogram_sums_to_context_count(self):
         # 428 contexts spread over 343 citing docs against 59 cited docs
-        cited = DocumentSet([doc(f"c{k}") for k in range(59)])
-        citing = DocumentSet([doc(f"r{k}", "citing") for k in range(343)])
+        cited = tuple(doc(f"c{k}") for k in range(59))
+        citing = tuple(doc(f"r{k}", "citing") for k in range(343))
         contexts = []
         for k in range(428):
             contexts.append(ctx(f"r{k % 343}", f"c{k % 59}", f"snippet {k}", ordinal=k // 343 + 1))
@@ -304,18 +309,18 @@ class TestDatasetStats:
         assert stats.n_cited == 59 and stats.n_citing == 343
 
     def test_overlap_matches_brute_force(self):
-        cited = DocumentSet([
+        cited = (
             doc("a", doi="10.1/same-id-different-doi"),
             doc("b", doi="10.1/b"),
             doc("c"),
             doc("d"),
-        ])
-        citing = DocumentSet([
+        )
+        citing = (
             doc("a", "citing", doi="10.1/conflicting"),  # same id, different DOI: DOI decides
             doc("b2", "citing", doi="10.1/b"),
             doc("c", "citing"),
             doc("e", "citing"),
-        ])
+        )
         def brute_force():
             hits = 0
             for u in cited:

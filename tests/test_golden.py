@@ -16,6 +16,7 @@ differently.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -49,5 +50,6 @@ def test_every_pipeline_artifact_is_covered(fresh_run):
 
 
 def test_comparison_matches_golden(planted_corpus, tmp_path):
-    path = write_json(tmp_path / "comparison.json", compare_networks(PipelineConfig(corpus=str(planted_corpus))).to_dict())
+    report = compare_networks(PipelineConfig(corpus=str(planted_corpus)))
+    path = write_json(tmp_path / "comparison.json", asdict(report))
     assert path.read_bytes() == COMPARISON_GOLDEN.read_bytes()

@@ -19,6 +19,7 @@ import citemap
 import citemap.layout as layout_module
 import citemap.pipeline as pipeline_module
 from citemap.cli import main
+from citemap.corpus import write_corpus
 from citemap.errors import ConfigError, StageError
 from citemap.exports import read_map_file, read_network_file
 from citemap.network import count_cooccurrences, relevance_scores, select_top_terms, top_count
@@ -32,7 +33,7 @@ from citemap.pipeline import (
     run_pipeline,
 )
 
-from conftest import sim
+from conftest import ctx, doc, sim
 
 
 def demo_config(demo_corpus, out_dir, **overrides) -> PipelineConfig:
@@ -206,6 +207,16 @@ class TestRunPipeline:
             listening = False
         assert len(opens) == 1
         assert run.corpus_digest == hashlib.sha256(corpus.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("doc_set, ids", [("cited", "ac"), ("citing", "bd"), ("both", "abcd")])
+    def test_units_and_stats_per_set(self, tmp_path, doc_set, ids):
+        docs = [doc(i, tag, f"title {i}") for i, tag in zip("abcd", ("cited", "citing", "cited", "citing"))]
+        corpus = write_corpus(tmp_path / "tags.jsonl", docs, [ctx("b", "a")])
+        run = Run(PipelineConfig(corpus=str(corpus), doc_set=doc_set))
+        assert run.units == [f"title {i}" for i in ids]  # the set's documents, in corpus order
+        stats = run.corpus_stats  # the same whatever the set
+        assert (stats.n_cited, stats.n_citing, stats.n_contexts) == (2, 2, 1)
+        assert stats.contexts_per_cited == {"a": 1, "c": 0}
 
     def test_mode_and_set_validation(self, demo_corpus, tmp_path):
         with pytest.raises(ConfigError):
