@@ -5,16 +5,18 @@ The quality of a partition is Q = sum over same-cluster pairs i<j of
 resolutions penalize big clusters and yield more of them.
 
 Optimization is smart local moving: single-node moves run until no move
-improves Q; each cluster's induced subnetwork is then re-clustered from
-singletons, so a bad merge can split again; the refined partition is
-collapsed into an aggregate network that starts from the unrefined clusters
-and is optimized recursively. Once that cycle stalls, variable-depth chain
-passes (forced best moves with the best prefix kept) try to escape traps
-that no single improving move can leave. The best of ``restarts`` seeded
-runs wins, ties going to the earliest restart, so results are fully
-deterministic for a fixed (seed, restarts). A node visit whose result is
-already known (no move since that node last found none) is skipped; such a
-visit draws nothing at random, so the random stream does not change.
+improves Q; each cluster is then split into well-connected subclusters by
+one greedy pass of Leiden's refinement (Traag, Waltman & van Eck 2019), so a
+bad merge can split again; the refined partition is collapsed into an
+aggregate network that starts from the unrefined clusters and is optimized
+recursively. Each cluster of a cycle's result induces a connected subgraph.
+Once that cycle stalls, variable-depth chain passes (forced best moves with
+the best prefix kept) try to escape traps that no single improving move can
+leave. The best of ``restarts`` seeded runs wins, ties going to the earliest
+restart, so results are fully deterministic for a fixed (seed, restarts). A
+node visit whose result is already known (no move since that node last found
+none) is skipped; such a visit draws nothing at random, so the random stream
+does not change.
 
 Each restart draws only from its own seeded generator, so the restarts run
 side by side in forked worker processes, one per CPU of this process's
@@ -119,7 +121,7 @@ def _local_move(adj: _Rows, sizes: list[int], labels: list[int], resolution: flo
             if stamp[v] == epoch:
                 continue
             home, size = labels[v], sizes[v]
-            # written out here and in _chain_pass, in plain loops: per-visit comprehensions
+            # written out here, in _chain_pass and in _refine, in plain loops: per-visit comprehensions
             # and a shared per-visit helper each made clustering slower on Python 3.11
             connection: dict[int, float] = {}
             for u, weight in adj[v]:
@@ -172,7 +174,15 @@ def _aggregate(adj: _Rows, sizes: list[int], labels: list[int], k: int) -> tuple
 
 def _refine(adj: _Rows, sizes: list[int], labels: list[int],
             resolution: float, rng: random.Random) -> tuple[list[int], list[int]]:
-    """Re-cluster each cluster's induced subnetwork from singletons.
+    """Split each cluster S into well-connected subclusters, greedy Leiden style.
+
+    Leiden's refinement (Traag, Waltman & van Eck 2019, Algorithm A.2) in its
+    greedy limit: starting from singletons, the nodes of S are visited once,
+    in random order. A node that is still a singleton and is well connected,
+    E(v, S - v) >= resolution * size_v * (size_S - size_v), joins the
+    well-connected subcluster with the largest positive worth, ties going to
+    the lowest label. The only draw is one shuffle per cluster of two or more
+    nodes. S's edges are read from the full rows, filtered by label.
 
     Returns the refined labels, numbered 0..K-1 in order of first appearance,
     plus each refined label's parent label, so the aggregate network can
@@ -181,21 +191,55 @@ def _refine(adj: _Rows, sizes: list[int], labels: list[int],
     groups: dict[int, list[int]] = {}
     for v, label in enumerate(labels):
         groups.setdefault(label, []).append(v)
+    block = list(range(len(adj)))  # a node's subcluster, named by one of its nodes
+    block_size = list(sizes)
+    external = [0.0] * len(adj)  # per subcluster C: E(C, S - C)
     refined = [0] * len(adj)
     parent: list[int] = []
     for cluster_label in sorted(groups):
         members = groups[cluster_label]
-        local = {v: k for k, v in enumerate(members)}
-        sub_adj = [[(local[u], weight) for u, weight in adj[v] if u in local] for v in members]
-        sub_labels = list(range(len(members)))
-        _local_move(sub_adj, [sizes[v] for v in members], sub_labels, resolution, rng)
+        if len(members) > 1:
+            total = 0
+            for v in members:
+                total += sizes[v]
+                inside = 0.0
+                for u, weight in adj[v]:
+                    if labels[u] == cluster_label:
+                        inside += weight
+                external[v] = inside
+            order = list(members)
+            rng.shuffle(order)
+            for v in order:
+                size = sizes[v]
+                if block_size[block[v]] != size:
+                    continue  # no longer a singleton
+                penalty = resolution * size
+                if external[v] < penalty * (total - size):
+                    continue  # not well connected to S
+                connection: dict[int, float] = {}
+                for u, weight in adj[v]:
+                    if labels[u] == cluster_label:
+                        label = block[u]
+                        connection[label] = connection.get(label, 0.0) + weight
+                # worth in subcluster C: conn(v, C) - resolution * size_v * size_C; staying is worth 0
+                best_label, best_value = v, 0.0
+                for label, conn in connection.items():
+                    label_size = block_size[label]
+                    if external[label] < resolution * label_size * (total - label_size):
+                        continue  # C is not well connected to S
+                    value = conn - penalty * label_size
+                    if value > best_value or (value == best_value and value > 0.0 and label < best_label):
+                        best_label, best_value = label, value
+                if best_label != v:
+                    external[best_label] += external[v] - 2.0 * connection[best_label]
+                    block_size[best_label] += size
+                    block[v] = best_label
         block_ids: dict[int, int] = {}
         for v in members:
-            block = sub_labels[local[v]]
-            if block not in block_ids:
-                block_ids[block] = len(parent)
+            if block[v] not in block_ids:
+                block_ids[block[v]] = len(parent)
                 parent.append(cluster_label)
-            refined[v] = block_ids[block]
+            refined[v] = block_ids[block[v]]
     return refined, parent
 
 
@@ -244,9 +288,9 @@ def _chain_pass(adj: _Rows, sizes: list[int], labels: list[int], resolution: flo
         stay = connection.pop(home, 0.0) - penalty * (cluster_size[home] - size)
         # a fresh singleton is the fallback; ties keep it, then the lowest label
         best_label, best_value = next_label, 0.0
-        for label in sorted(connection):
-            value = connection[label] - penalty * cluster_size[label]
-            if value > best_value:
+        for label, conn in connection.items():
+            value = conn - penalty * cluster_size[label]
+            if value > best_value or (value == best_value and value > 0.0 and label < best_label):
                 best_label, best_value = label, value
         cum += best_value - stay
         _move(v, best_label, size, labels, cluster_size)
@@ -281,7 +325,8 @@ def _restart(sim: SimilarityMatrix, adj: _Rows, resolution: float, seed: int, re
     settled = False  # labels are a fixpoint of single-node moves
     for _ in range(_MAX_ROUNDS):  # iterate the full cycle while Q improves
         candidate, settled = _slm(adj, [1] * n, resolution, rng, labels, settled)
-        candidate_quality = quality(sim, candidate, resolution)
+        # a cycle that moves nothing returns its input labels, whose Q is known
+        candidate_quality = current if candidate == labels else quality(sim, candidate, resolution)
         if candidate_quality > current:
             labels, current, settled = candidate, candidate_quality, False
             failures = 0

@@ -10,12 +10,15 @@ import signal
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import citemap.clustering as clustering_module
 from citemap.cli import main
 from citemap.clustering import Clustering, cluster, quality
 from citemap.errors import ConfigError, ConsistencyError, StageError
-from citemap.pipeline import PipelineConfig, run_pipeline
+from citemap.pipeline import PipelineConfig, Run, run_pipeline
+from citemap.terms import CITATION_CONTEXT, TITLE_ABSTRACT
 
 from conftest import sim
 
@@ -228,24 +231,24 @@ def planted_lognormal(seed: int, n: int = 150, groups: int = 5, p_in: float = 0.
 
 
 # seed -> (nodes, resolution, Q hex, assignment) of cluster(planted_lognormal(seed, nodes), resolution,
-# seed=seed, restarts=3). On the first two graphs the optimizer aggregates at least two levels deep
-# and a variable-depth chain pass escapes at least once, so every private helper of the optimizer
-# contributes to the pinned result. Every graph skips the first pass of most patience cycles, whose
-# labels are already a fixpoint. The labels change, so that mark must reset, when on graph 12 a cycle
-# whose first pass found no move improves Q, and when on graph 53 a chain pass escapes after one.
+# seed=seed, restarts=3). On the four 100-200-node graphs the optimizer aggregates at least three
+# levels deep. Every graph skips the first pass of most patience cycles, whose labels are already a
+# fixpoint. The labels change, so that mark must reset, when on graph 45 a cycle whose first pass
+# found no move improves Q. On the small graph 36 a variable-depth chain pass escapes, which none of
+# the larger ones does. So every private helper of the optimizer contributes to a pinned result.
 MID_SIZE_PINS = {
-    2: (150, 0.5, "0x1.1043c01a36e2ep+11", """
-        1 2 3 4 5 4 6 7 8 9 10 11 5 12 13 14 15 3 1 2 16 2 17 6 9 18 19 1 9 20 21 2 12 10 3 22
-        20 19 13 9 18 4 7 23 8 24 11 18 25 9 3 4 8 2 1 20 16 13 21 15 13 18 7 6 9 19 15 7 16 6
-        13 19 18 15 26 9 11 16 6 23 13 7 9 23 12 12 4 5 1 23 15 17 10 4 1 11 17 17 3 17 17 12 5
-        17 18 5 5 22 19 3 21 3 14 15 1 19 19 7 15 14 17 2 10 3 16 4 12 15 2 16 17 9 23 15 13 19
-        15 1 4 23 1 16 4 15 3 1 11 9 7 2"""),
-    45: (150, 0.5, "0x1.ae5bffffffffep+10", """
-        1 2 3 4 5 3 5 6 7 8 7 5 4 8 9 8 10 11 12 10 13 14 8 8 7 8 15 5 6 16 17 1 11 11 18 5 16 7
-        1 9 19 10 16 20 5 21 2 19 1 13 22 23 6 13 19 23 3 4 12 6 8 12 24 14 8 10 16 2 19 18 7 21
-        8 10 25 13 4 11 4 21 17 12 7 4 8 19 7 25 17 10 11 2 8 6 6 14 18 4 26 10 13 25 8 16 7 2
-        20 5 6 10 20 14 6 20 16 21 27 10 23 16 8 14 4 16 23 21 23 10 6 18 4 28 6 21 22 23 9 2 23
-        2 16 2 18 3 10 12 5 28 6 26"""),
+    2: (150, 0.5, "0x1.102fa02752546p+11", """
+        1 2 3 4 5 4 6 7 8 9 10 11 5 7 12 13 14 3 1 2 6 2 15 16 9 17 18 1 9 19 3 2 7 10 13
+        20 19 18 12 9 17 4 21 22 8 23 11 17 24 9 13 4 8 2 1 19 21 12 3 14 12 17 21 16 9 18
+        14 21 21 16 12 18 17 14 25 9 11 6 16 22 12 7 9 22 7 7 4 5 1 22 14 15 10 4 1 11 15
+        15 3 15 15 7 5 15 17 5 5 20 18 13 3 13 13 14 1 18 7 21 14 13 15 2 10 3 21 4 7 14 2
+        21 15 9 22 14 12 18 14 1 4 22 1 6 4 14 13 1 11 9 21 2"""),
+    45: (150, 0.5, "0x1.aef226809d493p+10", """
+        1 2 3 4 5 3 5 6 7 8 6 5 4 8 7 8 3 9 10 3 11 12 8 8 6 8 13 5 6 14 15 1 9 9 16 5 17
+        6 1 7 18 3 14 19 5 20 2 18 1 11 21 10 22 11 18 10 8 4 10 22 8 23 24 12 8 3 14 2 18
+        16 6 20 7 3 17 11 4 9 4 20 15 23 6 4 8 18 6 17 15 10 9 2 8 22 14 12 16 4 25 3 11
+        17 8 14 26 2 19 5 22 3 19 12 6 19 14 20 27 3 26 8 8 12 4 14 26 20 26 3 22 16 4 19
+        10 20 21 26 7 2 10 2 14 2 16 27 3 23 5 14 22 25"""),
     12: (200, 1.0, "0x1.5e1ad35a85878p+11", """
         1 2 2 3 4 5 6 7 8 3 5 9 8 10 11 10 12 13 14 15 14 12 16 17 18 19 20 7 7 14 11 21 22
         23 18 1 24 25 26 12 2 14 3 10 27 28 29 30 20 30 6 21 8 27 17 31 32 31 21 6 33 8 34
@@ -259,6 +262,7 @@ MID_SIZE_PINS = {
         10 23 3 8 18 18 4 3 5 15 6 24 3 25 26 17 27 2 13 28 13 26 29 30 31 22 17 16 4 1 19 8
         32 9 12 15 27 12 29 14 5 5 33 6 3 21 21 3 12 34 5 21 17 25 22 10 23 2 1 24 6 22 21 3
         16 15"""),
+    36: (20, 0.5, "0x1.5c56d5cfaacdap+3", "1 2 3 4 5 6 7 3 8 1 9 10 11 1 12 3 13 14 6 15"),
 }
 
 
@@ -344,6 +348,125 @@ class TestChainPassTies:
         labels = [0, 0, 1]
         assert clustering_module._chain_pass(adj, [1, 1, 1], labels, 1.0, InOrder())
         assert labels == [2, 0, 1]
+
+
+class TestRefinement:
+    """One greedy Leiden pass per cluster, visiting nodes 0, 1, 2, ... under ``InOrder``, resolution 1."""
+
+    def test_only_well_connected_nodes_move(self):
+        # {0, 1} forms first, with E({0, 1}, S - {0, 1}) = 4.25 >= 1 * 2 * (4 - 2). Node 2 would gain
+        # 2.5 - 2 > 0 there, but E(2, S - 2) = 2.5 < 1 * (4 - 1); node 3 would gain nothing.
+        adj = rows(sim(4, {(0, 1): 4.0, (0, 2): 1.25, (1, 2): 1.25, (0, 3): 1.75}))
+        assert clustering_module._refine(adj, [1] * 4, [0] * 4, 1.0, InOrder()) == ([0, 0, 1, 2], [0, 0, 0])
+
+    def test_tied_subclusters_go_to_the_lowest_label(self):
+        # node 0 is worth 2 - 1 in node 1's and in node 2's singleton; node 2 is then worth 2 - 2 = 0 in {0, 1}
+        adj = rows(sim(3, {(0, 1): 2.0, (0, 2): 2.0}))
+        assert clustering_module._refine(adj, [1] * 3, [5] * 3, 1.0, InOrder()) == ([0, 0, 1], [5, 5])
+
+    def test_only_well_connected_subclusters_are_joined(self):
+        # {0, 1} forms first, with E({0, 1}, S - {0, 1}) = 5.25 + 5.25 - 2 * 4 = 2.5 < 1 * 2 * (4 - 2).
+        # Node 2 would gain 2.5 - 2 > 0 there, and node 3 is not well connected.
+        adj = rows(sim(4, {(0, 1): 4.0, (0, 2): 1.25, (1, 2): 1.25, (2, 3): 1.0}))
+        assert clustering_module._refine(adj, [1] * 4, [0] * 4, 1.0, InOrder()) == ([0, 0, 1, 2], [0, 0, 0])
+
+    def test_one_shuffle_per_cluster_of_two_or_more(self):
+        graph = planted_lognormal(2)
+        adj, sizes, n = rows(graph), [1] * len(graph.terms), len(graph.terms)
+        labels = list(range(n))
+        clustering_module._local_move(adj, sizes, labels, 0.5, random.Random(3))
+        cluster_sizes = [labels.count(label) for label in sorted(set(labels))]
+        assert 1 in cluster_sizes and max(cluster_sizes) > 1
+        rng, twin = random.Random(4), random.Random(4)
+        refined, parent = clustering_module._refine(adj, sizes, labels, 0.5, rng)
+        for size in cluster_sizes:
+            if size > 1:
+                twin.shuffle(list(range(size)))
+        assert rng.getstate() == twin.getstate()
+        assert len(set(labels)) < len(parent) < n
+        assert all(parent[refined[v]] == labels[v] for v in range(n))
+        assert not disconnected_clusters(graph, refined)
+
+
+def disconnected_clusters(graph, assignment) -> list[int]:
+    """The clusters whose members are not joined by the graph's edges within the cluster."""
+    neighbours: list[list[int]] = [[] for _ in assignment]
+    for i, j in graph.strengths:
+        if assignment[i] == assignment[j]:
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+    groups: dict[int, list[int]] = {}
+    for v, label in enumerate(assignment):
+        groups.setdefault(label, []).append(v)
+    disconnected = []
+    for label, members in groups.items():
+        reached, stack = {members[0]}, [members[0]]
+        while stack:
+            for u in neighbours[stack.pop()]:
+                if u not in reached:
+                    reached.add(u)
+                    stack.append(u)
+        if len(reached) < len(members):
+            disconnected.append(label)
+    return disconnected
+
+
+# up to 10 nodes, and so 45 edges: cluster() runs its restarts in this process
+SMALL_GRAPHS = st.integers(2, 10).flatmap(lambda n: st.tuples(st.just(n), st.dictionaries(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda pair: pair[0] < pair[1]),
+    st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]),  # few values, so ties are common
+    max_size=30,
+)))
+
+
+class TestConnectedClusters:
+    """Every cluster that cluster() returns induces a connected subgraph.
+
+    Leiden's refinement guarantees it for the result of every SLM cycle; a
+    chain pass's labels win only when no later cycle improves on them.
+    """
+
+    @given(SMALL_GRAPHS, st.sampled_from([0.25, 0.5, 1.0, 2.0]), st.integers(0, 99), st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_small_graphs(self, graph, resolution, seed, restarts):
+        n, strengths = graph
+        s = sim(n, strengths)
+        assert not disconnected_clusters(s, cluster(s, resolution, seed, restarts).assignment)
+
+    @pytest.mark.parametrize("seed", sorted(MID_SIZE_PINS))
+    def test_pinned_graphs(self, seed):
+        nodes, _, _, assignment = MID_SIZE_PINS[seed]  # what cluster() returns, by TestMidSizePins
+        labels = [int(label) for label in assignment.split()]
+        assert not disconnected_clusters(planted_lognormal(seed, nodes), labels)
+
+
+# (network, resolution) -> (Q hex, assignment) of the pipeline's clustering of the bundled planted
+# corpus, default settings otherwise. Frozen with SLM's refine-to-fixpoint; Leiden's refinement keeps
+# them bit for bit.
+PLANTED_PINS = {
+    ("cited", 1.0): ("0x1.1afa65b11f218p+7", "1 2 3 2 1 1 2 3 1 3 2 2 3 3 3 1 3 2 1 2 3 3 3 3 3 2 2 1 1 1 2"),
+    ("cited", 2.0): ("0x1.fd0f2fc04819cp+5", "1 2 3 4 5 1 2 3 1 6 7 7 6 8 6 1 6 4 5 2 6 9 3 3 8 2 4 1 1 10 4"),
+    ("citing", 1.0): ("0x1.5be48be0fa788p+8", """
+        1 2 2 1 1 1 3 1 1 4 3 3 3 2 1 2 2 2 2 1 1 4 4 2 4 2 2 4 2 2 4 1 3 4 1 1 3 3 1 2 2 2 1 3 4 1 1"""),
+    ("citing", 2.0): ("0x1.87be95cecae8ep+7", """
+        1 2 2 3 4 5 6 7 4 8 9 6 9 5 3 5 2 2 10 7 1 1 8 5 1 5 10 8 2 10 8 4 9 8 4 1 9 6 1 2 2 10 4 6 8 1 4"""),
+    ("context", 1.0): ("0x1.32446ea77cd38p+8", "1 2 2 1 3 2 1 3 1 3 4 3 1 2 1 4 2 4 1 4 2 4 2 4 4 1 4 2 3 4"),
+    ("context", 2.0): ("0x1.d7d8b7ad95292p+7", "1 2 3 1 4 3 5 6 5 6 7 6 1 2 8 9 3 7 1 7 2 7 3 7 7 8 9 2 4 7"),
+}
+PLANTED_NETWORKS = {
+    "cited": {"mode": TITLE_ABSTRACT, "doc_set": "cited"},
+    "citing": {"mode": TITLE_ABSTRACT, "doc_set": "citing"},
+    "context": {"mode": CITATION_CONTEXT},
+}
+
+
+@pytest.mark.parametrize("network, resolution", sorted(PLANTED_PINS))
+def test_planted_corpus_clustering_is_pinned(planted_corpus, network, resolution):
+    quality_hex, assignment = PLANTED_PINS[network, resolution]
+    config = PipelineConfig(corpus=str(planted_corpus), resolution=resolution, **PLANTED_NETWORKS[network])
+    clustering = Run(config).clustering
+    assert clustering.quality.hex() == quality_hex
+    assert clustering.assignment == tuple(int(label) for label in assignment.split())
 
 
 def set_cpus(monkeypatch, cpus: int) -> None:
