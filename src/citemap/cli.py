@@ -10,13 +10,15 @@ files read (``pipeline.Run``), from the corpus load up to the last one below:
     cluster     clusters.tsv                                                  clustering
     layout      map.tsv                                                       clustering and layout
     export      map.tsv, network.tsv, network_terms.tsv, graph.json, map.svg  clustering and layout
-    compare     comparison.json                                               clustering and layout, 3 times
+    compare     comparison.json                                               clustering and layout, 3 side by side
     pipeline    export's files, corpus_stats.json, manifest.json              clustering and layout
 
-compare reads only the three networks but still computes their maps. Every
-subcommand writes its files all or nothing, so a failed write keeps the
-earlier run's files. Settings come from flags, which override a JSON config
-file, which overrides the built-in defaults.
+compare reads only the three networks but still computes their maps: it loads
+the corpus three times, then builds the three networks and maps side by side
+on up to three workers, one per CPU (``citemap.fork``). Every subcommand
+writes its files all or nothing, so a failed write keeps the earlier run's
+files. Settings come from flags, which override a JSON config file, which
+overrides the built-in defaults.
 
 Exit codes: 0 success, 2 configuration error, 3 input/parse error. Each
 data-quality warning (CitemapWarning) is one ``warning: <message>`` line on

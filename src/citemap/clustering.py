@@ -19,8 +19,8 @@ none) is skipped; such a visit draws nothing at random, so the random stream
 does not change.
 
 Each restart draws only from its own seeded generator, so the restarts run
-side by side in forked worker processes, one per CPU of this process's
-affinity mask, and are merged in restart order. Networks below
+side by side in forked worker processes (``fork.forked``), one per CPU of this
+process's affinity mask, and are merged in restart order. Networks below
 ``_PARALLEL_MIN_EDGES`` edges, and any call on one CPU, run the restarts in
 this process. The result is the same bit for bit for any CPU count.
 """
@@ -28,12 +28,11 @@ this process. The result is the same bit for bit for any CPU count.
 from __future__ import annotations
 
 import math
-import os
-import pickle
 import random
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, NoReturn, Sequence
+from typing import Sequence
 
+from . import fork
 from .errors import ConfigError, ConsistencyError
 from .network import SimilarityMatrix
 
@@ -344,64 +343,6 @@ def _restart(sim: SimilarityMatrix, adj: _Rows, resolution: float, seed: int, re
     return labels, current
 
 
-_Run = Callable[[range], list[tuple[list[int], float]]]
-
-
-def _worker(run: _Run, share: range, read_fd: int, write_fd: int) -> NoReturn:
-    """Forked child: pickle ``run(share)`` into the pipe and exit.
-
-    ``os._exit`` skips the parent's stack, atexit handlers and buffered
-    output, which must run once, in the parent.
-    """
-    code = 1
-    try:
-        os.close(read_fd)
-        with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump(run(share), pipe)
-        code = 0
-    except Exception:  # an interrupt or exit ends the child quietly; the parent reports it
-        import traceback
-        traceback.print_exc()
-    finally:
-        os._exit(code)
-
-
-def _forked(run: _Run, restarts: int, workers: int) -> list[tuple[list[int], float]]:
-    """``run(range(restarts))`` with restart r run by worker r % workers; worker 0 is this process."""
-    children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe, until reaped
-    try:
-        for worker in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _worker(run, range(worker, restarts, workers), read_fd, write_fd)
-            os.close(write_fd)
-            children[pid] = os.fdopen(read_fd, "rb")
-        shares = [run(range(0, restarts, workers))]
-        for pid, pipe in list(children.items()):
-            payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            pipe.close()
-            del children[pid]
-            if status != 0:
-                raise ChildProcessError(
-                    f"clustering worker exited with code {os.waitstatus_to_exitcode(status)}")
-            shares.append(pickle.loads(payload))
-    finally:
-        if children:  # this process failed first: stop the workers rather than wait for them
-            import signal
-            for pid, pipe in children.items():
-                os.kill(pid, signal.SIGKILL)
-                pipe.close()
-                os.waitpid(pid, 0)
-    return [shares[r % workers][r // workers] for r in range(restarts)]
-
-
 def cluster(sim: SimilarityMatrix, resolution: float = 1.0, seed: int = 42, restarts: int = 10) -> Clustering:
     """Maximize Q by smart local moving; best of ``restarts`` seeded runs."""
     n = len(sim.terms)
@@ -419,11 +360,9 @@ def cluster(sim: SimilarityMatrix, resolution: float = 1.0, seed: int = 42, rest
     def run(share: range) -> list[tuple[list[int], float]]:
         return [_restart(sim, adj, resolution, seed, restart) for restart in share]
 
-    # no affinity mask (macOS, Windows): no fork-safe way to run restarts side by side
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(restarts, cpus)
+    workers = min(restarts, fork.cpus())
     if workers > 1 and len(sim.strengths) >= _PARALLEL_MIN_EDGES:
-        results = _forked(run, restarts, workers)
+        results = fork.forked(run, restarts, workers)
     else:
         results = run(range(restarts))
     best_labels: list[int] | None = None

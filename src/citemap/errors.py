@@ -31,6 +31,9 @@ class StageError(CitemapError):
         self.stage = stage
         self.cause = cause
 
+    def __reduce__(self):  # a forked worker returns it pickled; the default would call __init__(message)
+        return StageError, (self.stage, self.cause)
+
 
 class CitemapWarning(UserWarning):
     """Non-fatal corpus data issue: a duplicate document id or context, or a dangling context link."""

@@ -23,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable
 
-from . import __version__
+from . import __version__, fork
 from .clustering import Clustering, cluster
 from .compare import ComparisonReport, triplet_report
 from .corpus import SET_TAGS, CorpusStats, Document, check_field_types, dataset_stats, load_corpus
@@ -355,12 +355,40 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     return write_outputs(analyze(config), OUTPUT_NAMES)
 
 
+def _mapped_network(run: Run) -> CoocNetwork | Exception:
+    """``run``'s network once its map is computed, as ``analyze`` computes it, or the error a stage raised."""
+    try:
+        run.clustering, run.map_layout
+    except (CitemapError, ValueError, OSError) as exc:
+        return exc
+    return run.network
+
+
 def compare_networks(config: PipelineConfig) -> ComparisonReport:
-    """Build the three networks (cited, citing, context) and compare them."""
-    variants = {
-        "cited": replace(config, mode=TITLE_ABSTRACT, doc_set="cited"),
-        "citing": replace(config, mode=TITLE_ABSTRACT, doc_set="citing"),
-        "context": replace(config, mode=CITATION_CONTEXT),
-    }
-    networks = {label: analyze(variant).network for label, variant in variants.items()}
-    return triplet_report(networks["cited"], networks["citing"], networks["context"])
+    """Build the three networks (cited, citing, context) and compare them.
+
+    The three corpus loads run here, one after another. The networks and
+    their maps are then computed side by side on up to three workers, one
+    per CPU (``fork.forked``); this process is worker 0 and computes the
+    cited one. A failed stage comes back as data, and the first failure in
+    cited, citing, context order is raised: the one a run of the three in
+    turn would stop at.
+    """
+    runs = [
+        Run(replace(config, mode=TITLE_ABSTRACT, doc_set="cited")),
+        Run(replace(config, mode=TITLE_ABSTRACT, doc_set="citing")),
+        Run(replace(config, mode=CITATION_CONTEXT)),
+    ]
+    tasks = len(runs)
+
+    def networks(share: range) -> list[CoocNetwork | Exception]:
+        mine = {task: runs[task] for task in share}
+        runs.clear()  # every other worker holds a copy of the Runs it owns
+        # popped, so each Run is freed once its network is out
+        return [_mapped_network(mine.pop(task)) for task in share]
+
+    results = fork.forked(networks, tasks, min(tasks, fork.cpus()))  # one worker: all in this process
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return triplet_report(*results)

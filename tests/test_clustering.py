@@ -6,7 +6,6 @@ import itertools
 import math
 import os
 import random
-import signal
 import time
 
 import pytest
@@ -14,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import citemap.clustering as clustering_module
+import citemap.fork as fork_module
 from citemap.cli import main
 from citemap.clustering import Clustering, cluster, quality
 from citemap.errors import ConfigError, ConsistencyError, StageError
 from citemap.pipeline import PipelineConfig, Run, run_pipeline
 from citemap.terms import CITATION_CONTEXT, TITLE_ABSTRACT
 
-from conftest import sim
+from conftest import assert_no_children_left, set_cpus, sim
 
 
 def enumerate_optimum(n: int, strengths: dict[tuple[int, int], float], resolution: float):
@@ -324,6 +324,32 @@ class TestFixpointPass:
         assert rng.getstate() == twin.getstate()
 
 
+class TestEscapeResetsSettled:
+    def test_accepted_escape_clears_the_fixpoint_mark(self, monkeypatch):
+        """An accepted chain-pass escape moves labels, so the next cycle must not skip its first pass."""
+        settled_args, escapes = [], []
+
+        def slm(adj, sizes, resolution, rng, init_labels, settled=False):
+            settled_args.append(settled)
+            return list(init_labels), True  # nothing moved: the labels were a fixpoint
+
+        def chain_pass(adj, sizes, labels, resolution, rng):
+            if escapes:
+                return False
+            escapes.append(len(settled_args))
+            labels[1] = labels[0]  # pairs nodes 0 and 1: Q rises from 0 to 2 - 1
+            return True
+
+        monkeypatch.setattr(clustering_module, "_slm", slm)
+        monkeypatch.setattr(clustering_module, "_chain_pass", chain_pass)
+        graph = sim(3, {(0, 1): 2.0})
+        labels, current = clustering_module._restart(graph, rows(graph), 1.0, 0, 0)
+        assert (labels, current) == ([0, 0, 2], 1.0)
+        assert escapes == [1]  # right after the first cycle, which returned settled=True
+        # the cycle after the escape starts unsettled; the patience cycles after it are settled
+        assert settled_args == [False, False] + [True] * (clustering_module._CHAIN_PATIENCE - 1)
+
+
 class InOrder(random.Random):
     """A generator whose shuffle keeps the order, so a pass visits nodes 0, 1, 2, ..."""
 
@@ -469,30 +495,6 @@ def test_planted_corpus_clustering_is_pinned(planted_corpus, network, resolution
     assert clustering.assignment == tuple(int(label) for label in assignment.split())
 
 
-def set_cpus(monkeypatch, cpus: int) -> None:
-    """Pretend the affinity mask holds ``cpus`` CPUs, and let any network fork."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(clustering_module, "_PARALLEL_MIN_EDGES", 0)
-
-
-def assert_no_children_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def deadline():
-    """Fail, rather than hang, when a forked call never returns."""
-    def expire(signum, frame):
-        raise TimeoutError("clustering did not return within 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.usefixtures("deadline")
 class TestParallelRestarts:
     @pytest.mark.parametrize("seed, n, restarts, cpus", [
@@ -507,8 +509,8 @@ class TestParallelRestarts:
         set_cpus(monkeypatch, 1)
         inline = cluster(graph, resolution=0.5, seed=seed, restarts=restarts)
         forks = []
-        real_forked = clustering_module._forked
-        monkeypatch.setattr(clustering_module, "_forked", lambda *args: forks.append(args) or real_forked(*args))
+        real_forked = fork_module.forked
+        monkeypatch.setattr(fork_module, "forked", lambda *args: forks.append(args) or real_forked(*args))
         set_cpus(monkeypatch, cpus)
         forked = cluster(graph, resolution=0.5, seed=seed, restarts=restarts)
         assert len(forks) == (restarts > 1)
@@ -530,7 +532,7 @@ class TestParallelRestarts:
 
     def test_small_networks_stay_inline(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-        monkeypatch.setattr(clustering_module, "_forked", lambda *args: pytest.fail("forked a small network"))
+        monkeypatch.setattr(fork_module, "forked", lambda *args: pytest.fail("forked a small network"))
         largest = sim(8, {pair: 1.0 for pair in itertools.combinations(range(8), 2)})
         assert cluster(largest, resolution=0.5, seed=1, restarts=10).n_clusters == 1
 
