@@ -1,10 +1,16 @@
 """Co-occurrence network construction, association strength, relevance.
 
 Edges count units in which two terms co-occur (binary) or, in full mode,
-the per-unit minimum of the two terms' occurrence counts. Association
-strength normalizes a count by both node strengths so that the expected
-value under independent attachment is 1; relevance scores a term by how far
-its co-occurrence profile diverges from the background strength
+the per-unit minimum of the two terms' occurrence counts. Pairs are counted
+by ``Counter`` over each unit's ``itertools.combinations``, so the per-pair
+loop runs in C. Full counting counts layers k = 0, 1, ...: layer k holds,
+per unit, the terms the unit contains more than k times, and
+min(times_i, times_j) is the number of layers that hold both terms, so every
+count is an integer sum of ones.
+
+Association strength normalizes a count by both node strengths so that the
+expected value under independent attachment is 1; relevance scores a term
+by how far its co-occurrence profile diverges from the background strength
 distribution, so generic terms score near 0.
 
 Both network types own their pairs: each stores its pairs (i, j) with
@@ -17,9 +23,10 @@ is what leaves terms without an edge off a map.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, ConsistencyError
@@ -44,7 +51,7 @@ class CoocNetwork:
     edges: dict[tuple[int, int], int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", dict(sorted(self.edges.items())))
+        object.__setattr__(self, "edges", _in_pair_order(self.edges))
         _check_pairs(self.edges, len(self.terms))
         for pair, count in self.edges.items():
             if count <= 0:
@@ -83,11 +90,16 @@ class SimilarityMatrix:
     strengths: dict[tuple[int, int], float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "strengths", dict(sorted(self.strengths.items())))
+        object.__setattr__(self, "strengths", _in_pair_order(self.strengths))
         _check_pairs(self.strengths, len(self.terms))
         for pair, s in self.strengths.items():
             if not math.isfinite(s):
                 raise ValueError(f"non-finite similarity {s!r} on pair {pair}")
+
+
+def _in_pair_order(values: dict) -> dict:
+    # sorting the pairs alone, not the items, lets sort compare tuples of ints by its fast path
+    return {pair: values[pair] for pair in sorted(values)}
 
 
 def _check_pairs(pairs: Iterable[tuple[int, int]], n: int) -> None:
@@ -103,26 +115,35 @@ def count_cooccurrences(units: Sequence[str], lexicon: Lexicon, counting: str = 
     Binary counting adds 1 per unit containing both terms; full counting
     adds min(times_i, times_j) per unit. The lexicon must have been built
     from the same units: its entries refer to a unit by its position in
-    ``units``, and only the number of units is read here.
+    ``units``, and only the number of units is read here. Full counting
+    counts the layers of the module docstring, one ``Counter`` update each.
     """
     if counting not in COUNTINGS:
         raise ConfigError(f"counting must be '{BINARY}' or '{FULL}', got {counting!r}")
     terms = tuple(TermNode(e.term, e.occurrence_count) for e in lexicon)
     # one slot per unit, filled in lexicon-index order, so each is ascending
-    unit_terms: list[list[tuple[int, int]]] = [[] for _ in units]
+    layer: list[list[int]] = [[] for _ in units]
+    repeated: list[tuple[int, int, int]] = []  # full counting's (position, index, times > 1)
     for index, entry in enumerate(lexicon):
         if not entry.unit_counts:
             raise ConsistencyError(f"term {entry.term!r} is in the lexicon but matched no unit")
-        stray = [u for u in entry.unit_counts if not 0 <= u < len(units)]
-        if stray:
+        if min(entry.unit_counts) < 0 or max(entry.unit_counts) >= len(units):
+            stray = [u for u in entry.unit_counts if not 0 <= u < len(units)]
             raise ConsistencyError(f"term {entry.term!r} counts unit position(s) {stray} outside 0..{len(units) - 1}")
-        for position, times in entry.unit_counts.items():
-            unit_terms[position].append((index, times))
-    edges: dict[tuple[int, int], int] = {}
-    for present in unit_terms:
-        for (i, times_i), (j, times_j) in combinations(present, 2):
-            weight = 1 if counting == BINARY else min(times_i, times_j)
-            edges[(i, j)] = edges.get((i, j), 0) + weight
+        for position in entry.unit_counts:
+            layer[position].append(index)
+        if counting == FULL:
+            repeated += [(position, index, times) for position, times in entry.unit_counts.items() if times > 1]
+    edges: Counter[tuple[int, int]] = Counter()
+    depth = 0
+    while layer:
+        edges.update(chain.from_iterable(map(combinations, layer, repeat(2))))
+        depth += 1
+        repeated = [held for held in repeated if held[2] > depth]
+        deeper: dict[int, list[int]] = {}  # the next layer's slots, ascending as above
+        for position, index, _ in repeated:
+            deeper.setdefault(position, []).append(index)
+        layer = list(deeper.values())
     return CoocNetwork(terms, edges)
 
 

@@ -18,12 +18,28 @@ is a maximal run of characters that are ``str.isalnum`` or "-"; its leading
 and trailing hyphens are stripped, it is lowercased with ``str.lower``, and
 it is dropped if nothing is left.
 
+Inside a sentence a candidate run also ends at a character of
+``RUN_BREAKERS`` (",", ":", brackets, '"', "/" and the en and em dashes), at
+a dash that stands alone (a token of hyphens only), and at a possessive "'s"
+or "’s" (an apostrophe after a token character, then an "s" that ends a
+token), so "citation analysis, peer review" and "the journal's impact
+factor" join no phrases. ``segment`` keeps its tokens as they were: it drops
+those breaks and keeps the possessive's "s".
+
+A unit is tokenized once, into a token list in which "." marks a sentence
+end, "," a break inside a sentence and "'s" a possessive. ASCII text takes a
+path of C-implemented string methods: it is lowercased whole, ``translate``
+turns every character that is neither alnum nor "-" into a space (a run
+breaker into ","), and ``split`` cuts the tokens. Other text is tokenized by
+a regular expression and lowercased token by token, since lowercasing a
+whole text can differ ("İ" lowercases to two characters, "Σ" by context).
+
 Normalization is deliberately conservative: lowercase everything, strip one
 trailing "s" only when the singular form already occurs somewhere in the
 corpus (so "citation analysis" survives), and fold variants through an
 optional thesaurus before counting. Author-name citations of the shape
-"Moed et al" are blanked out of the raw text before segmentation, since
-case information is gone afterwards.
+"Moed et al", "Šubelj et al" or "O'Brien et al" are blanked out of the raw
+text before segmentation, since case information is gone afterwards.
 """
 
 from __future__ import annotations
@@ -40,6 +56,7 @@ TITLE_ABSTRACT = "title-abstract"
 CITATION_CONTEXT = "citation-context"
 
 SENTENCE_BREAKERS = ".?!;"
+RUN_BREAKERS = ',:()[]"/\u2013\u2014'
 
 # Abbreviations that keep a "." from ending a sentence where they begin a token
 # ("tested." does not end in the guard "ed.").
@@ -50,12 +67,34 @@ ABBREVIATION_GUARDS = (
 )
 _GUARD_WINDOW = max(map(len, ABBREVIATION_GUARDS))
 
-_AUTHOR_CITATION = re.compile(r"\b[A-Z][\w\-]*\s+et\s+al\b\.?")
+# Patterns that only rare text needs (author citations, apostrophes, non-ASCII
+# text) are strings, compiled on first use through re's cache, not at import.
+
+# A name whose first letter is upper- or titlecase, or that follows an
+# apostrophe-joined prefix ("O'Brien"); the case is checked in Python, since
+# ``re`` has no class for it.
+_NAME = r"(?:[^\W\d_]+['\u2019])?([^\W\d_])[\w\-]*"
+# the whole word before "et al", so that a name may start inside it ("van-Raan")
+_AUTHOR_CITATION = r"([\w'\u2019\-]+)\s+et\s+al\b\.?"
+# every match of _AUTHOR_CITATION holds one of this, and most texts hold none
+_ET_AL = re.compile(r"et\s+al\b")
+
+
+def _strip_author(match: re.Match) -> str:
+    word = match[1]
+    for start in range(len(word)):
+        # a name starts at a word boundary: the word's start, or after "-" or an apostrophe
+        if start and (word[start - 1].isalnum() or word[start - 1] == "_"):
+            continue
+        name = re.compile(_NAME).fullmatch(word, start)
+        if name and name[1].istitle():  # for one letter: upper- or titlecase
+            return word[:start] + " "
+    return match[0]
 
 
 def strip_citation_authors(text: str) -> str:
     """Blank out '<Capitalized> et al' author citations from raw text."""
-    return _AUTHOR_CITATION.sub(" ", text)
+    return re.sub(_AUTHOR_CITATION, _strip_author, text) if _ET_AL.search(text) else text
 
 
 def _begins_token(text: str, start: int) -> bool:
@@ -74,25 +113,76 @@ def _guarded(text: str, i: int) -> bool:
     )
 
 
-# In ``re``, ``[^\W_]`` is exactly ``str.isalnum`` and ``\s`` exactly ``str.isspace``.
-_TOKEN = re.compile(r"(?:[^\W_]|-)+")
 _BREAK = re.compile(f"[{re.escape(SENTENCE_BREAKERS)}](?=\\s)")
 
 
-def _split_sentences(text: str) -> list[str]:
-    pieces, start = [], 0
-    for match in _BREAK.finditer(text):
-        end = match.end()
-        if text[end - 1] != "." or not _guarded(text, end - 1):
-            pieces.append(text[start:end])
-            start = end
-    pieces.append(text[start:])
-    return pieces
+def _sentence_ends(text: str) -> list[int]:
+    """The position after each sentence break of ``text``."""
+    return [
+        end for match in _BREAK.finditer(text)
+        if text[(end := match.end()) - 1] != "." or not _guarded(text, end - 1)
+    ]
 
 
-def _tokenize(piece: str) -> list[str]:
-    # hyphens survive only inside a token
-    return [token for raw in _TOKEN.findall(piece) if (token := raw.strip("-").lower())]
+# The marks in a tokenized unit besides its tokens; none is a token, since a
+# token holds only characters that are alnum or "-".
+_SENTENCE_END, _RUN_BREAK, _POSSESSIVE = ".", ",", "'s"
+_MARKS = (_SENTENCE_END, _RUN_BREAK, _POSSESSIVE)
+
+# Every ASCII character that is neither alnum nor "-" becomes a space, a run
+# breaker a ","; the apostrophe is kept for the possessive rule.
+_ASCII_TABLE = {
+    code: _RUN_BREAK if chr(code) in RUN_BREAKERS else " "
+    for code in range(128) if not (chr(code).isalnum() or chr(code) in "-'")
+}
+_ASCII_APOSTROPHE = r"(?<=[a-z0-9-])'s(?![a-z0-9-])|'"
+# In ``re``, ``[^\W_]`` is exactly ``str.isalnum`` and ``\s`` exactly ``str.isspace``.
+_TOKEN = f"(?<=[^\\W_]|-)['\u2019][sS](?![^\\W_]|-)|(?:[^\\W_]|-)+|[{re.escape(RUN_BREAKERS)}]"
+
+
+def _ascii_apostrophe(match: re.Match) -> str:
+    return f" {_POSSESSIVE} " if len(match[0]) == 2 else " "
+
+
+def _ascii_tokens(text: str, ends: Sequence[int]) -> list[str]:
+    """``_tokenize`` on ASCII text, by string methods that loop in C."""
+    # same length as text: lowercasing and the table map ASCII one to one
+    lowered = text.lower().translate(_ASCII_TABLE)
+    if ends:  # the breaker before each end is a space now
+        lowered = f" {_SENTENCE_END} ".join(
+            [lowered[start:end] for start, end in zip([0, *ends], [*ends, len(lowered)])]
+        )
+    if "'" in lowered:
+        lowered = re.sub(_ASCII_APOSTROPHE, _ascii_apostrophe, lowered)
+    if _RUN_BREAK in lowered:
+        lowered = lowered.replace(_RUN_BREAK, f" {_RUN_BREAK} ")
+    tokens = lowered.split()
+    if "-" in lowered:  # hyphens survive only inside a token; a dash standing alone breaks a run
+        tokens = [token.strip("-") or _RUN_BREAK for token in tokens]
+    return tokens
+
+
+def _regex_tokens(text: str, ends: Sequence[int]) -> list[str]:
+    """``_tokenize`` on any text, lowercasing token by token."""
+    tokens = []
+    pattern = re.compile(_TOKEN)
+    for start, end in zip([0, *ends], [*ends, len(text)]):
+        if start:
+            tokens.append(_SENTENCE_END)
+        for raw in pattern.findall(text, start, end):
+            if raw[0] in RUN_BREAKERS:
+                tokens.append(_RUN_BREAK)
+            elif raw[0] in "'\u2019":
+                tokens.append(_POSSESSIVE)
+            else:
+                tokens.append(raw.strip("-").lower() or _RUN_BREAK)
+    return tokens
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of ``text`` in order, with the marks of its sentence ends and run breaks."""
+    ends = _sentence_ends(text)
+    return _ascii_tokens(text, ends) if text.isascii() else _regex_tokens(text, ends)
 
 
 def segment(text: str) -> list[list[str]]:
@@ -102,11 +192,19 @@ def segment(text: str) -> list[list[str]]:
     known abbreviation ("et al.", "e.g.", ...); tokens split on whitespace
     and punctuation with hyphens preserved inside tokens.
     """
-    sentences = []
-    for piece in _split_sentences(text):
-        tokens = _tokenize(piece)
-        if tokens:
-            sentences.append(tokens)
+    sentences: list[list[str]] = []
+    current: list[str] = []
+    for token in _tokenize(text):
+        if token == _SENTENCE_END:
+            if current:
+                sentences.append(current)
+                current = []
+        elif token == _POSSESSIVE:
+            current.append("s")
+        elif token != _RUN_BREAK:
+            current.append(token)
+    if current:
+        sentences.append(current)
     return sentences
 
 
@@ -119,32 +217,21 @@ def _fate(token: str, stopset: frozenset[str] | set[str], vocabulary: Container[
     return token
 
 
-def _content_runs(sentence: Sequence[str], fate: Mapping[str, str | None]) -> list[list[str]]:
-    """The sentence's maximal runs of normalized content tokens."""
-    runs: list[list[str]] = []
-    current: list[str] = []
-    for token in sentence:
-        form = fate[token]
+def _candidates(tokens: Sequence[str], fate: Mapping[str, str | None]) -> list[str]:
+    """Every suffix of every maximal run of content tokens: runs in order, longest suffix first.
+
+    Built back to front, each suffix is its first form joined to the suffix after it.
+    """
+    candidates: list[str] = []
+    suffix = None
+    for form in map(fate.__getitem__, reversed(tokens)):
         if form is None:
-            if current:
-                runs.append(current)
-                current = []
+            suffix = None
         else:
-            current.append(form)
-    if current:
-        runs.append(current)
-    return runs
-
-
-def _suffixes(run: list[str]) -> list[str]:
-    """Every suffix sub-run of a content run, longest first, as one string each."""
-    joined = " ".join(run)
-    suffixes = [joined]
-    offset = 0
-    for form in run[:-1]:
-        offset += len(form) + 1
-        suffixes.append(joined[offset:])
-    return suffixes
+            suffix = form if suffix is None else f"{form} {suffix}"
+            candidates.append(suffix)
+    candidates.reverse()
+    return candidates
 
 
 def extract_candidates(
@@ -160,11 +247,7 @@ def extract_candidates(
     """
     stopset = stoplist if isinstance(stoplist, (set, frozenset)) else frozenset(stoplist)
     fate = {token: _fate(token, stopset, singular_vocabulary) for token in sentence}
-    return [
-        term
-        for run in _content_runs(sentence, fate)
-        for term in _suffixes(run)
-    ]
+    return _candidates(sentence, fate)
 
 
 def make_units(source: Iterable[Document] | Iterable[CitationContext], mode: str) -> list[str]:
@@ -256,35 +339,31 @@ def build_lexicon(
     stopset = frozenset(stoplist)
     canon = resolve_thesaurus(thesaurus or {})
 
-    # First pass: segment every unit once; the full token vocabulary drives
+    # First pass: tokenize every unit once; the full token vocabulary drives
     # the conservative plural merge, keeping the result order-invariant. The
-    # vocabulary maps each token to its first string, and the kept sentences
+    # vocabulary maps each token to its first string, and the kept token lists
     # hold that one string per distinct token instead of one per occurrence.
-    segmented: list[list[list[str]]] = []
+    tokenized: list[list[str]] = []
     vocabulary: dict[str, str] = {}
     for text in units:
-        segmented.append([
-            list(map(vocabulary.setdefault, sentence, sentence))
-            for sentence in segment(strip_citation_authors(text))
-        ])
+        tokens = _tokenize(strip_citation_authors(text))
+        tokenized.append(list(map(vocabulary.setdefault, tokens, tokens)))
 
-    # each distinct token's fate is worked out once, not once per suffix
+    # each distinct token's fate is worked out once, not once per suffix; a mark breaks a run
     fate = {token: _fate(token, stopset, vocabulary) for token in vocabulary}
+    fate.update(dict.fromkeys(_MARKS))
     counts: dict[str, dict[int, int]] = {}
-    for position, sentences in enumerate(segmented):
-        candidates: list[str] = []
-        for sentence in sentences:
-            for run in _content_runs(sentence, fate):
-                candidates += _suffixes(run)
+    for position, tokens in enumerate(tokenized):
+        candidates = _candidates(tokens, fate)
+        if canon:
+            candidates = [canon.get(term, term) for term in candidates]
+        # after the thesaurus each term comes once per unit
         for term, times in Counter(candidates).items():
-            if term in canon:
-                term = canon[term]
-            if term in stopset:
-                continue
-            per_term = counts.setdefault(term, {})
-            per_term[position] = per_term.get(position, 0) + times
+            counts.setdefault(term, {})[position] = times
 
-    kept = sorted(term for term, per_term in counts.items() if len(per_term) >= min_occurrences)
+    kept = sorted(
+        term for term, per_term in counts.items() if len(per_term) >= min_occurrences and term not in stopset
+    )
     # units are counted in order, so each count dict is already ascending by position
     return tuple(LexiconEntry(term, counts[term]) for term in kept)
 

@@ -135,6 +135,42 @@ class TestCountCooccurrences:
                     assert net.edges.get((i, j), 0) == expected
 
 
+# The counting loop before pairs were counted by Counter over layers: one
+# dict update per pair of terms in a unit, weighted by the smaller count.
+def _reference_edges(n_units: int, lexicon: Lexicon, counting: str) -> dict[tuple[int, int], int]:
+    unit_terms: list[list[tuple[int, int]]] = [[] for _ in range(n_units)]
+    for index, entry in enumerate(lexicon):
+        for position, times in entry.unit_counts.items():
+            unit_terms[position].append((index, times))
+    edges: dict[tuple[int, int], int] = {}
+    for present in unit_terms:
+        for (i, times_i), (j, times_j) in combinations(present, 2):
+            weight = 1 if counting == "binary" else min(times_i, times_j)
+            edges[(i, j)] = edges.get((i, j), 0) + weight
+    return dict(sorted(edges.items()))
+
+
+# up to 12 terms over up to 8 units, each held 1 to 5 times where it occurs, so full counting
+# needs up to 5 layers; some terms are left empty and dropped
+UNIT_COUNTS = st.lists(
+    st.dictionaries(st.integers(0, 7), st.integers(1, 5), max_size=8), min_size=2, max_size=12,
+).map(lambda per_term: lexicon_from({f"term{t:02d}": c for t, c in enumerate(per_term) if c}))
+
+
+class TestCountingMatchesReference:
+    @given(UNIT_COUNTS, st.sampled_from(["binary", "full"]))
+    @settings(max_examples=300, deadline=None)
+    def test_edges_and_their_order(self, lexicon, counting):
+        net = count_cooccurrences(unit_texts(8), lexicon, counting)
+        assert list(net.edges.items()) == list(_reference_edges(8, lexicon, counting).items())
+        assert net.terms == tuple(TermNode(e.term, e.occurrence_count) for e in lexicon)
+
+    def test_many_layers(self):
+        lexicon = lexicon_from({"a": {0: 40, 1: 3}, "b": {0: 25, 1: 7}, "c": {0: 1, 1: 9}})
+        net = count_cooccurrences(unit_texts(2), lexicon, "full")
+        assert net.edges == {(0, 1): 25 + 3, (0, 2): 1 + 3, (1, 2): 1 + 7}
+
+
 class TestAssociationStrength:
     def test_triangle_of_ones(self):
         net = network({"a": 1, "b": 1, "c": 1}, {(0, 1): 1, (0, 2): 1, (1, 2): 1})

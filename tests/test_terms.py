@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -16,13 +17,21 @@ from citemap.pipeline import PipelineConfig, _resolve_word_lists
 from citemap.terms import (
     ABBREVIATION_GUARDS,
     CITATION_CONTEXT,
+    RUN_BREAKERS,
     SENTENCE_BREAKERS,
     TITLE_ABSTRACT,
+    LexiconEntry,
     build_lexicon,
     extract_candidates,
     make_units,
     resolve_thesaurus,
+    _AUTHOR_CITATION,
+    _ET_AL,
+    _ascii_tokens,
     _guarded,
+    _regex_tokens,
+    _sentence_ends,
+    _strip_author,
     segment,
     strip_citation_authors,
 )
@@ -163,6 +172,16 @@ KERNEL_PIECES = st.one_of(
         "\u0130", "\u212a", "\u03a3", ".", "?", "!", ";", " ", "\n", "no", "ed", "ab", "Moed et al. ",
     ]),
 )
+# every ASCII code point, plus the pieces the kernel treats specially: "\x1c"-"\x1f" are
+# whitespace, "_" is not alphanumeric, and apostrophes and RUN_BREAKERS mark run breaks
+ASCII_KERNEL_PIECES = st.one_of(
+    st.text(st.characters(max_codepoint=127), max_size=8),
+    st.sampled_from([
+        *ABBREVIATION_GUARDS, *(g.upper() for g in ABBREVIATION_GUARDS),
+        "_", "-", "--", " - ", "\x1c", "\x1d", "\x1e", "\x1f", ".", "?", "!", ";", " ", "\n", "\t",
+        "no", "ed", "ab", "s", "'s", "'S", "'", ",", ":", "(", ")", "/", '"', "Moed et al. ",
+    ]),
+)
 CANDIDATE_TOKENS = st.one_of(
     st.text(max_size=5),
     st.sampled_from(["factor", "factors", "gas", "ga", "analysis", "citation", "citations", "the", "of",
@@ -185,6 +204,20 @@ class TestKernelMatchesCharacterLoops:
         vocabulary = data.draw(st.none() | st.sets(singulars, min_size=1))
         assert extract_candidates(sentence, stop, vocabulary) == _oracle_extract_candidates(sentence, stop, vocabulary)
 
+    @given(st.lists(ASCII_KERNEL_PIECES, max_size=20).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_segment_on_ascii_text(self, text):
+        # st.text() above rarely draws an all-ASCII text, and only those take the translate path
+        assert text.isascii()
+        assert segment(text) == _oracle_segment(text)
+
+    @given(st.lists(ASCII_KERNEL_PIECES, max_size=20).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_ascii_path_matches_regex_path(self, text):
+        # marks included: the sentence ends, the run breaks and the possessives
+        ends = _sentence_ends(text)
+        assert _ascii_tokens(text, ends) == _regex_tokens(text, ends)
+
     def test_segment_on_bundled_corpora(self, demo_corpus, planted_corpus):
         from citemap.corpus import load_corpus
 
@@ -195,6 +228,15 @@ class TestKernelMatchesCharacterLoops:
         assert [segment(t) for t in texts] == [_oracle_segment(t) for t in texts]
 
 
+# the author-citation pattern before names could start with a non-ASCII capital or a prefix
+_ASCII_CAPITAL_CITATION = re.compile(r"\b[A-Z][\w\-]*\s+et\s+al\b\.?")
+AUTHOR_PIECES = st.sampled_from([
+    "Moed", "moed", "van-Raan", "VAN", "x_Moed", "1Moed", "-Moed", "Moed-x", "A", "e", "Šubelj", "šubelj",
+    "Ávila", "\u01c5emal", "O'Brien", "d'Alembert", "o'brien", "Smith's", "l\u2019Abbé", "et", "al", "et al",
+    " et al", " et al.", " et\nal", " et  al.", "al.", " ", "  ", "\n", ".", "-", "'", "\u2019", "_",
+])
+
+
 class TestStripCitationAuthors:
     def test_removes_capitalized_author(self):
         cleaned = strip_citation_authors("as shown by Moed et al. the factor")
@@ -202,6 +244,37 @@ class TestStripCitationAuthors:
 
     def test_keeps_lowercase_phrases(self):
         assert strip_citation_authors("rabbits et al are not authors") == "rabbits et al are not authors"
+
+    @pytest.mark.parametrize("text, name", [
+        ("as shown by Šubelj et al. the factor", "šubelj"),
+        ("as shown by Ávila et al. the factor", "ávila"),
+        ("as shown by \u01c5emal et al. the factor", "\u01c6emal"),  # a titlecase first letter
+    ])
+    def test_removes_non_ascii_capitalized_author(self, text, name):
+        assert strip_citation_authors(text) == "as shown by   the factor"
+        terms = by_term(build_lexicon([text], min_occurrences=1, stoplist={"as", "by", "the"}))
+        assert not [term for term in terms if name in term]
+
+    @pytest.mark.parametrize("text", ["as O'Brien et al. showed", "as d'Alembert et al. showed",
+                                      "as O\u2019Brien et al. showed"])
+    def test_removes_author_with_apostrophe_prefix(self, text):
+        assert strip_citation_authors(text) == "as   showed"
+        assert set(by_term(build_lexicon([text], min_occurrences=1, stoplist={"as"}))) == {"showed"}
+
+    def test_name_may_start_inside_a_hyphenated_word(self):
+        assert strip_citation_authors("see van-Raan et al. here") == "see van-  here"
+
+    @given(st.lists(AUTHOR_PIECES, max_size=12).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_et_al_search_is_a_necessary_condition(self, text):
+        if re.search(_AUTHOR_CITATION, text):
+            assert _ET_AL.search(text)
+        assert strip_citation_authors(text) == re.sub(_AUTHOR_CITATION, _strip_author, text)
+
+    @given(st.lists(AUTHOR_PIECES.filter(lambda p: p.isascii() and "'" not in p), max_size=12).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_ascii_names_without_apostrophes_as_before(self, text):
+        assert strip_citation_authors(text) == _ASCII_CAPITAL_CITATION.sub(" ", text)
 
 
 class TestExtractCandidates:
@@ -378,6 +451,96 @@ class TestBuildLexicon:
             tracemalloc.stop()
         assert by_term(lexicon)["maps"].occurrence_count == 2000
         assert peak < 4_000_000
+
+
+class TestRunBreaks:
+    # a break ends a candidate run in the lexicon, while segment keeps its tokens as before
+    @pytest.mark.parametrize("prefix", ["", "\u00fcber "], ids=["ascii", "non-ascii"])
+    @pytest.mark.parametrize("breaker", [*RUN_BREAKERS, " - ", " -- "])
+    def test_breaker_ends_a_run(self, breaker, prefix):
+        text = f"{prefix}citation analysis{breaker}peer review"
+        terms = set(by_term(build_lexicon([text], min_occurrences=1)))
+        assert {"citation analysis", "peer review", "analysis", "review"} <= terms
+        assert not [term for term in terms if "analysis peer" in term]
+        assert segment(text) == [[*prefix.split(), "citation", "analysis", "peer", "review"]]
+
+    @pytest.mark.parametrize("prefix", ["", "\u00fcber "], ids=["ascii", "non-ascii"])
+    @pytest.mark.parametrize("possessive", ["'s", "\u2019s", "'S"])
+    def test_possessive_ends_a_run(self, possessive, prefix):
+        text = f"{prefix}the journal{possessive} impact factor"
+        terms = set(by_term(build_lexicon([text], min_occurrences=1, stoplist={"the"})))
+        assert {"journal", "impact factor", "factor"} <= terms
+        assert not [term for term in terms if term.startswith("s ") or " s " in term]
+        assert segment(text) == [[*prefix.split(), "the", "journal", "s", "impact", "factor"]]
+
+    @pytest.mark.parametrize("text, term", [
+        ("co-word analysis", "co-word analysis"),  # a hyphen inside a token
+        ("citation- analysis", "citation analysis"),  # a hyphen at a token's edge
+        ("O'Sullivan analysis", "o sullivan analysis"),  # an apostrophe that is not a possessive
+        ("the journals' impact", "journals impact"),
+    ])
+    def test_other_hyphens_and_apostrophes_keep_the_run(self, text, term):
+        assert term in by_term(build_lexicon([text], min_occurrences=1, stoplist={"the"}))
+
+
+# The lexicon as built before units were tokenized in one pass: sentences by the
+# character loops above, candidates token by token, and the counting as it was.
+def _reference_build_lexicon(units, min_occurrences, thesaurus, stoplist):
+    stopset = frozenset(stoplist)
+    canon = resolve_thesaurus(thesaurus)
+    segmented = [_oracle_segment(_ASCII_CAPITAL_CITATION.sub(" ", text)) for text in units]
+    vocabulary = {token for sentences in segmented for sentence in sentences for token in sentence}
+    counts: dict[str, dict[int, int]] = {}
+    for position, sentences in enumerate(segmented):
+        candidates = [term for sentence in sentences
+                      for term in _oracle_extract_candidates(sentence, stopset, vocabulary)]
+        for term, times in Counter(candidates).items():
+            if term in canon:
+                term = canon[term]
+            if term in stopset:
+                continue
+            per_term = counts.setdefault(term, {})
+            per_term[position] = per_term.get(position, 0) + times
+    kept = sorted(term for term, per_term in counts.items() if len(per_term) >= min_occurrences)
+    return tuple(LexiconEntry(term, counts[term]) for term in kept)
+
+
+# ASCII and non-ASCII words, stopwords, numbers, plurals, guards and authors, but no
+# run breaker: no punctuation inside a sentence, no dash standing alone, no apostrophe.
+# "et al" comes only after an ASCII capital, the one name that was stripped before.
+REFERENCE_WORDS = st.sampled_from([
+    "citation", "citations", "Citation", "factor", "factors", "impact", "analysis", "index", "indexes",
+    "h-index", "-x", "y-", "CO-WORD", "the", "of", "and", "2010", "3.5", "e.g.", "Moed et al.",
+    "Fig.", "no.", "na\u00efve", "\u0160ubelj", "\u0130ndex", "\u03a3\u0391\u03a3", "\u212a", "x_y",
+    ".", "?", "!", ";", "\n", "\x1c",
+])
+REFERENCE_THESAURUS = {"impact factor": "jif", "citation analysis": "bibliometrics", "index": "the",
+                       "na\u00efve": "naive"}
+
+
+def entries(lexicon) -> list:
+    """Each entry with its unit_counts in their order, which dict equality would ignore."""
+    return [(entry.term, list(entry.unit_counts.items())) for entry in lexicon]
+
+
+class TestLexiconMatchesReference:
+    @given(st.lists(st.lists(REFERENCE_WORDS, max_size=12).map(" ".join), min_size=1, max_size=6),
+           st.integers(1, 3), st.sampled_from([{}, REFERENCE_THESAURUS]))
+    @settings(max_examples=300, deadline=None)
+    def test_entry_for_entry(self, units, min_occurrences, thesaurus):
+        stoplist = {"the", "of", "and"}
+        built = build_lexicon(units, min_occurrences, thesaurus, stoplist)
+        assert entries(built) == entries(_reference_build_lexicon(units, min_occurrences, thesaurus, stoplist))
+
+    def test_on_bundled_corpora(self, demo_corpus, planted_corpus):
+        from citemap.corpus import load_corpus
+
+        stoplist = _resolve_word_lists(PipelineConfig()).stoplist
+        for path in (demo_corpus, planted_corpus):
+            docs, contexts = load_corpus(path)
+            for units in (make_units(docs, TITLE_ABSTRACT), make_units(contexts, CITATION_CONTEXT)):
+                expected = _reference_build_lexicon(units, 2, {}, stoplist)
+                assert entries(build_lexicon(units, 2, {}, stoplist)) == entries(expected)
 
 
 WORDS = st.sampled_from(["citation", "impact", "factor", "index", "journal", "review", "the", "of"])
