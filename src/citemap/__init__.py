@@ -69,6 +69,7 @@ from .terms import (
     make_units,
     segment,
     strip_citation_authors,
+    unit_candidates,
 )
 
 __all__ = sorted(name for name in dir() if not name.startswith("_"))

@@ -19,12 +19,15 @@ and trailing hyphens are stripped, it is lowercased with ``str.lower``, and
 it is dropped if nothing is left.
 
 Inside a sentence a candidate run also ends at a character of
-``RUN_BREAKERS`` (",", ":", brackets, '"', "/" and the en and em dashes), at
-a dash that stands alone (a token of hyphens only), and at a possessive "'s"
-or "’s" (an apostrophe after a token character, then an "s" that ends a
-token), so "citation analysis, peer review" and "the journal's impact
-factor" join no phrases. ``segment`` keeps its tokens as they were: it drops
-those breaks and keeps the possessive's "s".
+``RUN_BREAKERS`` (",", ":", brackets, '"' and "/"), at a dash that stands
+alone (a token of hyphens only, or en and em dashes with whitespace or the
+text's edge on both sides), and at a possessive "'s" or "’s" (an apostrophe
+after a token character, then an "s" that ends a token), so "citation
+analysis, peer review" and "the journal's impact factor" join no phrases,
+while "core–periphery structure" stays one. ``segment`` keeps its tokens as
+they were: it drops those breaks and keeps the possessive's "s", so
+``extract_candidates`` on its sentences can join what a break ended;
+``unit_candidates`` gives a unit's candidates as the lexicon counts them.
 
 A unit is tokenized once, into a token list in which "." marks a sentence
 end, "," a break inside a sentence and "'s" a possessive. ASCII text takes a
@@ -56,7 +59,7 @@ TITLE_ABSTRACT = "title-abstract"
 CITATION_CONTEXT = "citation-context"
 
 SENTENCE_BREAKERS = ".?!;"
-RUN_BREAKERS = ',:()[]"/\u2013\u2014'
+RUN_BREAKERS = ',:()[]"/'
 
 # Abbreviations that keep a "." from ending a sentence where they begin a token
 # ("tested." does not end in the guard "ed.").
@@ -76,6 +79,9 @@ _GUARD_WINDOW = max(map(len, ABBREVIATION_GUARDS))
 _NAME = r"(?:[^\W\d_]+['\u2019])?([^\W\d_])[\w\-]*"
 # the whole word before "et al", so that a name may start inside it ("van-Raan")
 _AUTHOR_CITATION = r"([\w'\u2019\-]+)\s+et\s+al\b\.?"
+# searched for from a word's start only: a search from inside a long word would
+# scan the rest of the word again from each of its characters
+_WORD_START = r"(?<![\w'\u2019\-])"
 # every match of _AUTHOR_CITATION holds one of this, and most texts hold none
 _ET_AL = re.compile(r"et\s+al\b")
 
@@ -94,7 +100,16 @@ def _strip_author(match: re.Match) -> str:
 
 def strip_citation_authors(text: str) -> str:
     """Blank out '<Capitalized> et al' author citations from raw text."""
-    return re.sub(_AUTHOR_CITATION, _strip_author, text) if _ET_AL.search(text) else text
+    if not _ET_AL.search(text):
+        return text
+    citation, at_word_start = re.compile(_AUTHOR_CITATION), re.compile(_WORD_START + _AUTHOR_CITATION)
+    pieces, end = [], 0
+    # right after a citation the next may start inside a word ("Moed et al-Moed et al")
+    while match := (end and citation.match(text, end)) or at_word_start.search(text, end):
+        pieces += [text[end:match.start()], _strip_author(match)]
+        end = match.end()
+    pieces.append(text[end:])
+    return "".join(pieces)
 
 
 def _begins_token(text: str, start: int) -> bool:
@@ -137,7 +152,12 @@ _ASCII_TABLE = {
 }
 _ASCII_APOSTROPHE = r"(?<=[a-z0-9-])'s(?![a-z0-9-])|'"
 # In ``re``, ``[^\W_]`` is exactly ``str.isalnum`` and ``\s`` exactly ``str.isspace``.
-_TOKEN = f"(?<=[^\\W_]|-)['\u2019][sS](?![^\\W_]|-)|(?:[^\\W_]|-)+|[{re.escape(RUN_BREAKERS)}]"
+# An en or em dash breaks a run only where it stands alone ("a \u2013 b", not "a\u2013b").
+_DASHES = "\u2013\u2014"
+_TOKEN = (
+    f"(?<=[^\\W_]|-)['\u2019][sS](?![^\\W_]|-)|(?:[^\\W_]|-)+|[{re.escape(RUN_BREAKERS)}]"
+    f"|(?<!\\S)[{_DASHES}]+(?!\\S)"
+)
 
 
 def _ascii_apostrophe(match: re.Match) -> str:
@@ -170,7 +190,7 @@ def _regex_tokens(text: str, ends: Sequence[int]) -> list[str]:
         if start:
             tokens.append(_SENTENCE_END)
         for raw in pattern.findall(text, start, end):
-            if raw[0] in RUN_BREAKERS:
+            if raw[0] in RUN_BREAKERS or raw[0] in _DASHES:
                 tokens.append(_RUN_BREAK)
             elif raw[0] in "'\u2019":
                 tokens.append(_POSSESSIVE)
@@ -190,7 +210,10 @@ def segment(text: str) -> list[list[str]]:
 
     Sentences end at ``.?!;`` followed by whitespace unless guarded by a
     known abbreviation ("et al.", "e.g.", ...); tokens split on whitespace
-    and punctuation with hyphens preserved inside tokens.
+    and punctuation with hyphens preserved inside tokens. Run breaks inside a
+    sentence (a comma, a spaced dash, a possessive) are dropped, so use
+    ``unit_candidates``, not ``extract_candidates`` on these sentences, for
+    the candidates that ``build_lexicon`` counts.
     """
     sentences: list[list[str]] = []
     current: list[str] = []
@@ -244,10 +267,30 @@ def extract_candidates(
     Stoplist words and numeric tokens break runs. When a corpus-wide token
     vocabulary is supplied, a trailing "s" is stripped from tokens longer
     than 3 characters whose singular form is already in the vocabulary.
+    A sentence from ``segment`` has lost its run breaks; ``unit_candidates``
+    keeps them.
     """
     stopset = stoplist if isinstance(stoplist, (set, frozenset)) else frozenset(stoplist)
     fate = {token: _fate(token, stopset, singular_vocabulary) for token in sentence}
     return _candidates(sentence, fate)
+
+
+def unit_candidates(
+    text: str,
+    stoplist: Iterable[str],
+    singular_vocabulary: frozenset[str] | set[str] | None = None,
+) -> list[str]:
+    """Candidates of one unit's text, as ``build_lexicon`` finds them before the thesaurus.
+
+    Author citations are blanked first, and runs end at sentence ends, run
+    breaks and possessives as well as at stoplist words and numeric tokens.
+    ``singular_vocabulary`` works as in ``extract_candidates``.
+    """
+    stopset = stoplist if isinstance(stoplist, (set, frozenset)) else frozenset(stoplist)
+    tokens = _tokenize(strip_citation_authors(text))
+    fate = {token: _fate(token, stopset, singular_vocabulary) for token in tokens}
+    fate.update(dict.fromkeys(_MARKS))
+    return _candidates(tokens, fate)
 
 
 def make_units(source: Iterable[Document] | Iterable[CitationContext], mode: str) -> list[str]:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 import re
+import time
 import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citemap.errors import ConfigError, ConsistencyError
@@ -34,6 +35,7 @@ from citemap.terms import (
     _strip_author,
     segment,
     strip_citation_authors,
+    unit_candidates,
 )
 
 from conftest import ctx, doc
@@ -264,7 +266,20 @@ class TestStripCitationAuthors:
     def test_name_may_start_inside_a_hyphenated_word(self):
         assert strip_citation_authors("see van-Raan et al. here") == "see van-  here"
 
+    @pytest.mark.parametrize("text, stripped", [
+        ("x" * 20_000 + " and Moed et al. showed", "x" * 20_000 + " and   showed"),
+        ("x" * 20_000 + " et al. showed", "x" * 20_000 + " et al. showed"),
+    ], ids=["word-elsewhere", "word-before-et-al"])
+    def test_long_word_is_scanned_once(self, text, stripped):
+        # a match that could start inside a word took 6 s on the first text, scanning
+        # the rest of the word from each of its characters; from its start it takes 1 ms
+        start = time.perf_counter()
+        assert strip_citation_authors(text) == stripped
+        assert time.perf_counter() - start < 1.0
+
     @given(st.lists(AUTHOR_PIECES, max_size=12).map("".join))
+    @example("Moed et al-Moed et al")  # the second citation starts right after the first
+    @example("Moed et al\u2019O'Brien et al")
     @settings(max_examples=300, deadline=None)
     def test_et_al_search_is_a_necessary_condition(self, text):
         if re.search(_AUTHOR_CITATION, text):
@@ -456,7 +471,8 @@ class TestBuildLexicon:
 class TestRunBreaks:
     # a break ends a candidate run in the lexicon, while segment keeps its tokens as before
     @pytest.mark.parametrize("prefix", ["", "\u00fcber "], ids=["ascii", "non-ascii"])
-    @pytest.mark.parametrize("breaker", [*RUN_BREAKERS, " - ", " -- "])
+    @pytest.mark.parametrize("breaker", [*RUN_BREAKERS, " - ", " -- ", " \u2013 ", " \u2014 ", " \u2014\u2014 ",
+                                         "\n\u2013\t"])
     def test_breaker_ends_a_run(self, breaker, prefix):
         text = f"{prefix}citation analysis{breaker}peer review"
         terms = set(by_term(build_lexicon([text], min_occurrences=1)))
@@ -478,9 +494,39 @@ class TestRunBreaks:
         ("citation- analysis", "citation analysis"),  # a hyphen at a token's edge
         ("O'Sullivan analysis", "o sullivan analysis"),  # an apostrophe that is not a possessive
         ("the journals' impact", "journals impact"),
+        ("core\u2013periphery structure", "core periphery structure"),  # en and em dashes inside a word
+        ("science\u2014technology linkage", "science technology linkage"),
+        ("citation \u2013analysis", "citation analysis"),  # a dash on one side only
+        ("citation\u2014 analysis", "citation analysis"),
     ])
     def test_other_hyphens_and_apostrophes_keep_the_run(self, text, term):
         assert term in by_term(build_lexicon([text], min_occurrences=1, stoplist={"the"}))
+
+    # words, stopwords, numbers, plurals, authors, and every break: sentence ends,
+    # run breakers, spaced and unspaced dashes, possessives
+    UNIT_PIECES = st.sampled_from([
+        "citation", "citations", "factor", "factors", "impact", "the", "of", "2010", "h-index", "\u0160ubelj",
+        "Moed et al.", "e.g.", ".", ";", ",", ":", "(", ")", "/", '"', "-", " - ", "\u2013", " \u2013 ", "\u2014",
+        "'s", "\u2019s", "'", " ", "\n",
+    ])
+
+    @given(st.lists(st.lists(UNIT_PIECES, max_size=12).map("".join), min_size=1, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_unit_candidates_are_what_the_lexicon_counts(self, units):
+        stoplist = {"the", "of"}
+        vocabulary = {token for text in units for sentence in segment(strip_citation_authors(text))
+                      for token in sentence}
+        counts: dict[str, dict[int, int]] = {}
+        for position, text in enumerate(units):
+            for term, times in Counter(unit_candidates(text, stoplist, vocabulary)).items():
+                counts.setdefault(term, {})[position] = times
+        expected = [(term, list(counts[term].items())) for term in sorted(counts)]
+        assert entries(build_lexicon(units, 1, stoplist=stoplist)) == expected
+
+    def test_unit_candidates_keep_the_breaks_that_segment_drops(self):
+        text = "citation analysis, peer review"
+        assert unit_candidates(text, ()) == ["citation analysis", "analysis", "peer review", "review"]
+        assert "citation analysis peer review" in extract_candidates(segment(text)[0], ())
 
 
 # The lexicon as built before units were tokenized in one pass: sentences by the
