@@ -3,15 +3,19 @@
 Each subcommand writes a fixed set of files and runs exactly the stages those
 files read (``pipeline.Run``), from the corpus load up to the last one below:
 
-    subcommand  files written                                                 last stage run
-    ingest      corpus_stats.json                                             corpus and word-list load
-    extract     lexicon.tsv                                                   lexicon
-    build       network.tsv, network_terms.tsv                                relevance cut
-    cluster     clusters.tsv                                                  clustering
-    layout      map.tsv                                                       clustering and layout
-    export      map.tsv, network.tsv, network_terms.tsv, graph.json, map.svg  clustering and layout
-    compare     comparison.json                                               clustering and layout, 3 side by side
-    pipeline    export's files, corpus_stats.json, manifest.json              clustering and layout
+    subcommand  files written                                                 last stage run                         numpy
+    ingest      corpus_stats.json                                             corpus and word-list load              no
+    extract     lexicon.tsv                                                   lexicon                                no
+    build       network.tsv, network_terms.tsv                                relevance cut                          no
+    cluster     clusters.tsv                                                  clustering                             no
+    layout      map.tsv                                                       clustering and layout                  yes
+    export      map.tsv, network.tsv, network_terms.tsv, graph.json, map.svg  clustering and layout                  yes
+    compare     comparison.json                                               clustering and layout, 3 side by side  yes
+    pipeline    export's files, corpus_stats.json, manifest.json              clustering and layout                  yes
+
+numpy is imported only to lay out a map: by the first layout of a run, or,
+when compare runs on more than one worker, once before it forks them.
+Importing this module loads only the standard library and ``citemap``.
 
 compare reads only the three networks but still computes their maps: it loads
 the corpus three times, then builds the three networks and maps side by side

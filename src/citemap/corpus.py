@@ -42,13 +42,16 @@ _DOI_PREFIXES = (
 
 
 def normalize_doi(raw: str | None) -> str | None:
-    """Lowercase a DOI and strip URL/scheme prefixes. Blank input -> None."""
+    """Lowercase a DOI and strip URL/scheme prefixes and the whitespace around them.
+
+    Blank input -> None.
+    """
     if raw is None:
         return None
     doi = raw.strip().lower()
     for prefix in _DOI_PREFIXES:
         if doi.startswith(prefix):
-            doi = doi[len(prefix):]
+            doi = doi[len(prefix):].lstrip()
             break
     return doi or None
 

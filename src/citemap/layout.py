@@ -16,18 +16,23 @@ overwrite the accepted distance matrix, and the Laplacian is freed once
 inverted. An iteration then holds L^+, the plain step's distances, and the
 over-relaxed point's distances with one temporary array while they are built.
 The peak is about 4.3 n x n float arrays, the inversion's workspace included.
+
+numpy is imported inside the functions that use it, not at module level, so
+importing this module (and ``citemap.cli``, which imports every module) loads
+only the standard library; the first layout in a process pays for the import.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConfigError, ConsistencyError
 from .network import SimilarityMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _COMPONENT_GAP = 2.0  # spacing between component bounding boxes, pre-projection
 MAX_LAYOUT_TERMS = 5000  # the n x n arrays of a map this size peak at about 0.9 GB
@@ -61,6 +66,8 @@ def _distances(x: np.ndarray) -> np.ndarray:
     sqrt(dx^2 + dy^2) built in place; hypot's overflow guard buys nothing on
     projected coordinates of order 1.
     """
+    import numpy as np
+
     dist = np.subtract.outer(x[:, 0], x[:, 0])
     dist *= dist
     dy = np.subtract.outer(x[:, 1], x[:, 1])
@@ -74,6 +81,8 @@ def _project(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the projected points and their pairwise distance matrix.
     """
+    import numpy as np
+
     n = len(x)
     x = x - x.mean(axis=0)
     dist = _distances(x)
@@ -97,6 +106,8 @@ def _edge_objective(y: np.ndarray, ei: np.ndarray, ej: np.ndarray, es: np.ndarra
 
 def _optimize(sim: SimilarityMatrix, seed: int, max_iter: int, tol: float,
               trace: list[float] | None) -> tuple[np.ndarray, float, bool, int]:
+    import numpy as np
+
     n = len(sim.terms)
     ei, ej = np.array(list(sim.strengths), dtype=np.intp).reshape(-1, 2).T
     es = np.array(list(sim.strengths.values()))
@@ -200,6 +211,8 @@ def layout(
     if len(components) == 1:
         x, value, converged, iterations = _optimize(sim, seed, max_iter, tol, trace)
         return MapLayout(tuple((float(px), float(py)) for px, py in x), value, converged, iterations)
+
+    import numpy as np
 
     # lay out each component independently, then place on a grid
     placed = np.zeros((n, 2))

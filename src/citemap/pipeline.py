@@ -373,6 +373,11 @@ def compare_networks(config: PipelineConfig) -> ComparisonReport:
     cited one. A failed stage comes back as data, and the first failure in
     cited, citing, context order is raised: the one a run of the three in
     turn would stop at.
+
+    With more than one worker, numpy is imported here before the fork, since
+    every worker lays out: the forks share the one import instead of each
+    paying for it while another worker computes. With one worker the first
+    layout imports it, as in every other command.
     """
     runs = [
         Run(replace(config, mode=TITLE_ABSTRACT, doc_set="cited")),
@@ -387,7 +392,10 @@ def compare_networks(config: PipelineConfig) -> ComparisonReport:
         # popped, so each Run is freed once its network is out
         return [_mapped_network(mine.pop(task)) for task in share]
 
-    results = fork.forked(networks, tasks, min(tasks, fork.cpus()))  # one worker: all in this process
+    workers = min(tasks, fork.cpus())  # one worker: all in this process
+    if workers > 1:
+        import numpy  # noqa: F401  loaded here for the forked workers to share
+    results = fork.forked(networks, tasks, workers)
     for result in results:
         if isinstance(result, Exception):
             raise result

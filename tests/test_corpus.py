@@ -64,6 +64,11 @@ class TestDocument:
         d = Document(id="a", title="t", set_tag="cited", doi=None, abstract=None, year=None)
         assert (d.doi, d.abstract, d.year) == (None, None, None)
 
+    @pytest.mark.parametrize("raw", ["doi: 10.1002/asi.21075", "https://doi.org/ 10.1002/ASI.21075"])
+    def test_space_after_prefix_stripped(self, raw):
+        assert normalize_doi(raw) == "10.1002/asi.21075"
+        assert doc("a", doi=raw).doi == "10.1002/asi.21075"
+
     def test_normalize_doi_blank(self):
         assert normalize_doi("   ") is None
         assert normalize_doi(None) is None
@@ -176,6 +181,15 @@ class TestLoadCorpus:
         assert len(docs) == 2
         assert len(contexts) == 1
         assert contexts[0].citing_id == "b" and contexts[0].cited_id == "a"
+
+    def test_space_after_doi_prefix_loads(self, tmp_path):
+        path = tmp_path / "spaced_doi.jsonl"
+        write_lines(path, [
+            {"kind": "document", "id": "a", "title": "One", "set_tag": "cited", "doi": "doi: 10.1002/asi.21075"},
+            {"kind": "document", "id": "b", "title": "Two", "set_tag": "citing", "doi": "https://doi.org/ 10.1/x"},
+        ])
+        docs, _ = load_corpus(path)
+        assert [d.doi for d in docs] == ["10.1002/asi.21075", "10.1/x"]
 
     def test_dangling_reference_warns_once(self, tmp_path):
         path = tmp_path / "dangling.jsonl"

@@ -537,6 +537,41 @@ class TestImportHygiene:
             assert result.returncode == 0, (module, result.stderr)
             assert json.loads(result.stdout) == [], module
 
+    def test_cli_import_loads_only_the_standard_library_and_citemap(self):
+        # site's start-up (.pth files) may load third-party modules of its own; only what the import adds counts
+        probe = ("import json, sys; before = set(sys.modules); import citemap.cli; "
+                 "print(json.dumps(sorted({m.partition('.')[0] for m in set(sys.modules) - before} "
+                 "- set(sys.stdlib_module_names) - {'citemap'})))")
+        result = self.run_fresh(probe)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == []
+
+    @pytest.mark.parametrize("command, lays_out", [
+        ("ingest", False), ("extract", False), ("build", False), ("cluster", False),
+        ("layout", True), ("pipeline", True),
+    ])
+    def test_only_commands_that_lay_out_load_numpy(self, command, lays_out, demo_corpus, tmp_path):
+        probe = ("import json, sys; from citemap.cli import main; "
+                 f"code = main([{command!r}, '--corpus', {str(demo_corpus)!r}, '--out', {str(tmp_path)!r}]); "
+                 "print(json.dumps([code, 'numpy' in sys.modules]))")
+        result = self.run_fresh(probe)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [0, lays_out]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_compare_imports_numpy_before_it_forks(self, cpus, planted_corpus, tmp_path):
+        # forked workers share the parent's import; on one CPU the first layout imports numpy
+        probe = ("import json, sys; import citemap.fork as fork; from citemap.cli import main; "
+                 f"fork.cpus = lambda: {cpus}; loaded = []; forked = fork.forked; "
+                 "fork.forked = lambda *args: loaded.append('numpy' in sys.modules) or forked(*args); "
+                 f"code = main(['compare', '--corpus', {str(planted_corpus)!r}, '--out', {str(tmp_path)!r}]); "
+                 "print(json.dumps([code, loaded[0]]))")
+        result = self.run_fresh(probe)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [0, cpus > 1]
+        golden = Path(__file__).parent / "golden" / "planted" / "comparison.json"
+        assert (tmp_path / "comparison.json").read_bytes() == golden.read_bytes()
+
     def test_every_module_imports_with_the_http_client_blocked(self):
         # a module that imports the blocked HTTP client fails to import
         modules = [f"citemap.{info.name}" for info in pkgutil.iter_modules(citemap.__path__)]
