@@ -30,12 +30,12 @@ they were: it drops those breaks and keeps the possessive's "s", so
 ``unit_candidates`` gives a unit's candidates as the lexicon counts them.
 
 A unit is tokenized once, into a token list in which "." marks a sentence
-end, "," a break inside a sentence and "'s" a possessive. ASCII text takes a
-path of C-implemented string methods: it is lowercased whole, ``translate``
-turns every character that is neither alnum nor "-" into a space (a run
-breaker into ","), and ``split`` cuts the tokens. Other text is tokenized by
-a regular expression and lowercased token by token, since lowercasing a
-whole text can differ ("İ" lowercases to two characters, "Σ" by context).
+end, "," a break inside a sentence and "'" a possessive, by C-implemented
+string methods on any text: ``translate`` turns every character that is
+neither alnum, "-" nor an apostrophe into a space (a run breaker into ","),
+the marks are spliced in, ``lower`` lowercases the whole spaced text, and
+``split`` cuts the tokens. Only standalone en and em dashes and apostrophes
+take a regular expression, and only in a text that holds them.
 
 Normalization is deliberately conservative: lowercase everything, strip one
 trailing "s" only when the singular form already occurs somewhere in the
@@ -70,8 +70,8 @@ ABBREVIATION_GUARDS = (
 )
 _GUARD_WINDOW = max(map(len, ABBREVIATION_GUARDS))
 
-# Patterns that only rare text needs (author citations, apostrophes, non-ASCII
-# text) are strings, compiled on first use through re's cache, not at import.
+# Patterns that only rare text needs (author citations, apostrophes, en and em
+# dashes) are strings, compiled on first use through re's cache, not at import.
 
 # A name whose first letter is upper- or titlecase, or that follows an
 # apostrophe-joined prefix ("O'Brien"); the case is checked in Python, since
@@ -139,70 +139,65 @@ def _sentence_ends(text: str) -> list[int]:
     ]
 
 
-# The marks in a tokenized unit besides its tokens; none is a token, since a
-# token holds only characters that are alnum or "-".
-_SENTENCE_END, _RUN_BREAK, _POSSESSIVE = ".", ",", "'s"
-_MARKS = (_SENTENCE_END, _RUN_BREAK, _POSSESSIVE)
+# The marks in a tokenized unit besides its tokens. None is a token, since a
+# token holds only characters that are alnum or "-", and none holds a letter, so
+# each breaks a candidate run.
+_SENTENCE_END, _RUN_BREAK, _POSSESSIVE = ".", ",", "'"
+_APOSTROPHES = "'\u2019"
 
-# Every ASCII character that is neither alnum nor "-" becomes a space, a run
-# breaker a ","; the apostrophe is kept for the possessive rule.
-_ASCII_TABLE = {
-    code: _RUN_BREAK if chr(code) in RUN_BREAKERS else " "
-    for code in range(128) if not (chr(code).isalnum() or chr(code) in "-'")
-}
-_ASCII_APOSTROPHE = r"(?<=[a-z0-9-])'s(?![a-z0-9-])|'"
+
+class _TokenTable(dict):
+    """``str.translate``'s table: a token character (alnum or "-") or an apostrophe
+    maps to itself, a run breaker to ",", any other character to a space. Each
+    value is one character, worked out when the character is first seen."""
+
+    def __missing__(self, code: int) -> str:
+        char = chr(code)
+        keep = char.isalnum() or char == "-" or char in _APOSTROPHES
+        self[code] = value = char if keep else _RUN_BREAK if char in RUN_BREAKERS else " "
+        return value
+
+
+_TABLE = _TokenTable()
 # In ``re``, ``[^\W_]`` is exactly ``str.isalnum`` and ``\s`` exactly ``str.isspace``.
 # An en or em dash breaks a run only where it stands alone ("a \u2013 b", not "a\u2013b").
 _DASHES = "\u2013\u2014"
-_TOKEN = (
-    f"(?<=[^\\W_]|-)['\u2019][sS](?![^\\W_]|-)|(?:[^\\W_]|-)+|[{re.escape(RUN_BREAKERS)}]"
-    f"|(?<!\\S)[{_DASHES}]+(?!\\S)"
-)
+_STANDALONE_DASHES = f"(?<!\\S)[{_DASHES}]+(?!\\S)"
+# an apostrophe, with the "s" after it when it follows a token character and the "s" ends a token
+_APOSTROPHE = f"[{_APOSTROPHES}](?:(?<=(?:[^\\W_]|-)[{_APOSTROPHES}])[sS](?![^\\W_]|-))?"
 
 
-def _ascii_apostrophe(match: re.Match) -> str:
+def _dash_break(match: re.Match) -> str:
+    # padded to the dash run's length, so the sentence ends still hold
+    return _RUN_BREAK.ljust(len(match[0]))
+
+
+def _apostrophe(match: re.Match) -> str:
     return f" {_POSSESSIVE} " if len(match[0]) == 2 else " "
 
 
-def _ascii_tokens(text: str, ends: Sequence[int]) -> list[str]:
-    """``_tokenize`` on ASCII text, by string methods that loop in C."""
-    # same length as text: lowercasing and the table map ASCII one to one
-    lowered = text.lower().translate(_ASCII_TABLE)
+def _tokenize(text: str) -> list[str]:
+    """The tokens of ``text`` in order, with the marks of its sentence ends, run breaks and possessives."""
+    ends = _sentence_ends(text)
+    if "\u2013" in text or "\u2014" in text:  # one of _DASHES
+        text = re.sub(_STANDALONE_DASHES, _dash_break, text)
+    spaced = text.translate(_TABLE)  # same length as text, so the ends still hold
     if ends:  # the breaker before each end is a space now
-        lowered = f" {_SENTENCE_END} ".join(
-            [lowered[start:end] for start, end in zip([0, *ends], [*ends, len(lowered)])]
+        spaced = f" {_SENTENCE_END} ".join(
+            [spaced[start:end] for start, end in zip([0, *ends], [*ends, len(spaced)])]
         )
-    if "'" in lowered:
-        lowered = re.sub(_ASCII_APOSTROPHE, _ascii_apostrophe, lowered)
-    if _RUN_BREAK in lowered:
-        lowered = lowered.replace(_RUN_BREAK, f" {_RUN_BREAK} ")
-    tokens = lowered.split()
-    if "-" in lowered:  # hyphens survive only inside a token; a dash standing alone breaks a run
+    if "'" in spaced or "\u2019" in spaced:  # one of _APOSTROPHES
+        spaced = re.sub(_APOSTROPHE, _apostrophe, spaced)
+    if _RUN_BREAK in spaced:
+        spaced = spaced.replace(_RUN_BREAK, f" {_RUN_BREAK} ")
+    # Lowercasing the whole text equals lowercasing token by token: no character
+    # lowercases to whitespace, and a space bounds both "İ" (to two characters)
+    # and the context of a final "Σ". An apostrophe would not bound the context,
+    # so lowercasing comes after the apostrophe step ("ΟΔΟΣ’s" gives "οδος").
+    tokens = spaced.lower().split()
+    if "-" in spaced:  # hyphens survive only inside a token; a dash standing alone breaks a run
         tokens = [token.strip("-") or _RUN_BREAK for token in tokens]
     return tokens
-
-
-def _regex_tokens(text: str, ends: Sequence[int]) -> list[str]:
-    """``_tokenize`` on any text, lowercasing token by token."""
-    tokens = []
-    pattern = re.compile(_TOKEN)
-    for start, end in zip([0, *ends], [*ends, len(text)]):
-        if start:
-            tokens.append(_SENTENCE_END)
-        for raw in pattern.findall(text, start, end):
-            if raw[0] in RUN_BREAKERS or raw[0] in _DASHES:
-                tokens.append(_RUN_BREAK)
-            elif raw[0] in "'\u2019":
-                tokens.append(_POSSESSIVE)
-            else:
-                tokens.append(raw.strip("-").lower() or _RUN_BREAK)
-    return tokens
-
-
-def _tokenize(text: str) -> list[str]:
-    """The tokens of ``text`` in order, with the marks of its sentence ends and run breaks."""
-    ends = _sentence_ends(text)
-    return _ascii_tokens(text, ends) if text.isascii() else _regex_tokens(text, ends)
 
 
 def segment(text: str) -> list[list[str]]:
@@ -289,7 +284,6 @@ def unit_candidates(
     stopset = stoplist if isinstance(stoplist, (set, frozenset)) else frozenset(stoplist)
     tokens = _tokenize(strip_citation_authors(text))
     fate = {token: _fate(token, stopset, singular_vocabulary) for token in tokens}
-    fate.update(dict.fromkeys(_MARKS))
     return _candidates(tokens, fate)
 
 
@@ -392,9 +386,8 @@ def build_lexicon(
         tokens = _tokenize(strip_citation_authors(text))
         tokenized.append(list(map(vocabulary.setdefault, tokens, tokens)))
 
-    # each distinct token's fate is worked out once, not once per suffix; a mark breaks a run
+    # each distinct token's fate is worked out once, not once per suffix; a mark's is None
     fate = {token: _fate(token, stopset, vocabulary) for token in vocabulary}
-    fate.update(dict.fromkeys(_MARKS))
     counts: dict[str, dict[int, int]] = {}
     for position, tokens in enumerate(tokenized):
         candidates = _candidates(tokens, fate)

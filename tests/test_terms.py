@@ -28,10 +28,12 @@ from citemap.terms import (
     resolve_thesaurus,
     _AUTHOR_CITATION,
     _ET_AL,
-    _ascii_tokens,
+    _POSSESSIVE,
+    _RUN_BREAK,
+    _SENTENCE_END,
     _guarded,
-    _regex_tokens,
     _sentence_ends,
+    _tokenize,
     _strip_author,
     segment,
     strip_citation_authors,
@@ -139,6 +141,31 @@ def _oracle_segment(text: str) -> list[list[str]]:
     return [tokens for piece in _oracle_split_sentences(text) if (tokens := _oracle_tokenize(piece))]
 
 
+# The tokenizer as one regular expression over each sentence, lowercasing token by
+# token, kept as the reference for the marks that _tokenize adds.
+_REFERENCE_DASHES = "\u2013\u2014"
+_REFERENCE_TOKEN = re.compile(
+    f"(?<=[^\\W_]|-)['\u2019][sS](?![^\\W_]|-)|(?:[^\\W_]|-)+|[{re.escape(RUN_BREAKERS)}]"
+    f"|(?<!\\S)[{_REFERENCE_DASHES}]+(?!\\S)"
+)
+
+
+def _reference_tokens(text: str) -> list[str]:
+    ends = _sentence_ends(text)
+    tokens = []
+    for start, end in zip([0, *ends], [*ends, len(text)]):
+        if start:
+            tokens.append(_SENTENCE_END)
+        for raw in _REFERENCE_TOKEN.findall(text, start, end):
+            if raw[0] in RUN_BREAKERS or raw[0] in _REFERENCE_DASHES:
+                tokens.append(_RUN_BREAK)
+            elif raw[0] in "'\u2019":
+                tokens.append(_POSSESSIVE)
+            else:
+                tokens.append(raw.strip("-").lower() or _RUN_BREAK)
+    return tokens
+
+
 def _oracle_extract_candidates(sentence, stopset, vocabulary) -> list[str]:
     # every token of every suffix is tested and singularized on its own
     def singular(token: str) -> str:
@@ -184,6 +211,17 @@ ASCII_KERNEL_PIECES = st.one_of(
         "no", "ed", "ab", "s", "'s", "'S", "'", ",", ":", "(", ")", "/", '"', "Moed et al. ",
     ]),
 )
+# every mark, curly apostrophes and en and em dashes, alone and inside words, and text
+# whose lowercase depends on its neighbours: "İ" lowercases to two characters, a
+# final "Σ" to "ς", and "’" and a combining accent are case-ignorable
+UNICODE_TOKEN_PIECES = st.one_of(
+    KERNEL_PIECES,
+    ASCII_KERNEL_PIECES,
+    st.sampled_from([
+        "\u2019s", "\u2019S", "\u2019", "\u2013", "\u2014", "\u2014\u2014", " \u2013 ", "core\u2013periphery",
+        "\u0130", "\u03a3", "\u039f\u0394\u039f\u03a3", "\u212a", "\u0301", "\u00e9", "s", "S",
+    ]),
+)
 CANDIDATE_TOKENS = st.one_of(
     st.text(max_size=5),
     st.sampled_from(["factor", "factors", "gas", "ga", "analysis", "citation", "citations", "the", "of",
@@ -209,16 +247,20 @@ class TestKernelMatchesCharacterLoops:
     @given(st.lists(ASCII_KERNEL_PIECES, max_size=20).map("".join))
     @settings(max_examples=400, deadline=None)
     def test_segment_on_ascii_text(self, text):
-        # st.text() above rarely draws an all-ASCII text, and only those take the translate path
+        # st.text() above rarely draws an all-ASCII text, which translate maps by its ASCII fast path
         assert text.isascii()
         assert segment(text) == _oracle_segment(text)
 
     @given(st.lists(ASCII_KERNEL_PIECES, max_size=20).map("".join))
     @settings(max_examples=400, deadline=None)
-    def test_ascii_path_matches_regex_path(self, text):
+    def test_tokens_match_reference_on_ascii_text(self, text):
         # marks included: the sentence ends, the run breaks and the possessives
-        ends = _sentence_ends(text)
-        assert _ascii_tokens(text, ends) == _regex_tokens(text, ends)
+        assert _tokenize(text) == _reference_tokens(text)
+
+    @given(st.lists(UNICODE_TOKEN_PIECES, max_size=20).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_tokens_match_reference(self, text):
+        assert _tokenize(text) == _reference_tokens(text)
 
     def test_segment_on_bundled_corpora(self, demo_corpus, planted_corpus):
         from citemap.corpus import load_corpus
@@ -522,6 +564,15 @@ class TestRunBreaks:
                 counts.setdefault(term, {})[position] = times
         expected = [(term, list(counts[term].items())) for term in sorted(counts)]
         assert entries(build_lexicon(units, 1, stoplist=stoplist)) == expected
+
+    def test_lowercasing_follows_the_apostrophe_step(self):
+        # "’" is case-ignorable, so lowercasing "ΟΔΟΣ’s" whole would give a medial "σ";
+        # "İ" lowercases to two characters
+        units = ["ΟΔΟΣ\u2019s δρόμος", "the ΟΔΟΣ"]
+        assert entries(build_lexicon(units, 2)) == [("οδος", [(0, 1), (1, 1)])]
+        assert segment(units[0]) == [["οδος", "s", "δρόμος"]]
+        assert unit_candidates("\u0130stanbul\u2019s harbour \u2013 a port", ()) == [
+            "i\u0307stanbul", "harbour", "a port", "port"]
 
     def test_unit_candidates_keep_the_breaks_that_segment_drops(self):
         text = "citation analysis, peer review"
