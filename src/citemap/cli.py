@@ -8,14 +8,18 @@ files read (``pipeline.Run``), from the corpus load up to the last one below:
     extract     lexicon.tsv                                                   lexicon                                no
     build       network.tsv, network_terms.tsv                                relevance cut                          no
     cluster     clusters.tsv                                                  clustering                             no
-    layout      map.tsv                                                       clustering and layout                  yes
-    export      map.tsv, network.tsv, network_terms.tsv, graph.json, map.svg  clustering and layout                  yes
+    layout      map.tsv                                                       clustering and layout                  worker
+    export      map.tsv, network.tsv, network_terms.tsv, graph.json, map.svg  clustering and layout                  worker
     compare     comparison.json                                               clustering and layout, 3 side by side  yes
-    pipeline    export's files, corpus_stats.json, manifest.json              clustering and layout                  yes
+    pipeline    export's files, corpus_stats.json, manifest.json              clustering and layout                  worker
 
-numpy is imported only to lay out a map: by the first layout of a run, or,
-when compare runs on more than one worker, once before it forks them.
-Importing this module loads only the standard library and ``citemap``.
+numpy is imported only to lay out a map. layout, export and pipeline compute
+their stages by ``pipeline.analyze``, which on more than one CPU forks a
+layout worker that imports numpy beside the text stages and lays the map out
+beside the clustering, so this process never imports it ("worker" above); on
+one CPU the layout imports it here. compare imports it once before it forks
+its workers, or at its first layout on one CPU. Importing this module loads
+only the standard library and ``citemap``.
 
 compare reads only the three networks but still computes their maps: it loads
 the corpus three times, then builds the three networks and maps side by side
@@ -40,8 +44,8 @@ from pathlib import Path
 from .errors import CitemapError, CitemapWarning, ConfigError, StageError
 from .exports import write_json
 from .network import COUNTINGS, top_count
-from .pipeline import (DOC_SETS, EXPORT_NAMES, MODES, PipelineConfig, Run, compare_networks, run_pipeline,
-                       write_files, write_outputs)
+from .pipeline import (DOC_SETS, EXPORT_NAMES, MODES, PipelineConfig, Run, analyze, compare_networks,
+                       run_pipeline, write_files, write_outputs)
 from .terms import TITLE_ABSTRACT
 
 
@@ -107,8 +111,10 @@ STAGED = {
 
 
 def cmd_staged(args: argparse.Namespace) -> int:
-    run = Run(_config_from_args(args))
+    config = _config_from_args(args)
     _, names, summary = STAGED[args.command]
+    # every command that lays out a map computes it by analyze, with its layout worker
+    run = analyze(config) if "map.tsv" in names else Run(config)
     print(summary(run, write_outputs(run, names)))
     return 0
 

@@ -1,12 +1,18 @@
-"""Run numbered tasks side by side in forked worker processes.
+"""Run work beside this process in forked children.
 
-Task r runs on worker r % workers, and worker 0 is this process, which runs
-its share once every other worker is forked. A worker runs its whole share in
-one call, ``run(share)``, and a child pickles the returned list into a pipe.
-The results are merged in task order, so they do not depend on the worker
-count. A child that raises or dies becomes ChildProcessError here; if this
-process fails first, it kills the children. Either way every child is reaped
-before ``forked`` returns or raises.
+``forked`` runs numbered tasks side by side. Task r runs on worker r % workers,
+and worker 0 is this process, which runs its share once every other worker is
+forked. A worker runs its whole share in one call, ``run(share)``. The results
+are merged in task order, so they do not depend on the worker count. If this
+process fails first, it kills the children.
+
+``ForkedCall`` is one call forked before its arguments exist: the child
+prepares at once (say, imports what the call needs) while this process
+computes the arguments, then makes the call when they arrive.
+
+Every child pickles its result into a pipe and exits. A child that raises or
+dies becomes ChildProcessError here, and every child is reaped before the call
+that collects it returns or raises.
 
 Only ``os.fork`` and ``os.pipe`` are used: importing ``multiprocessing`` or
 ``concurrent.futures`` would add to the start-up time of every command.
@@ -16,7 +22,9 @@ from __future__ import annotations
 
 import os
 import pickle
-from typing import BinaryIO, Callable, NoReturn, TypeVar
+from contextlib import suppress
+from functools import partial
+from typing import BinaryIO, Callable, Generic, NoReturn, TypeVar
 
 T = TypeVar("T")
 
@@ -26,17 +34,18 @@ def cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _worker(run: Callable[[range], list], share: range, read_fd: int, write_fd: int) -> NoReturn:
-    """Forked child: pickle ``run(share)`` into the pipe and exit.
+def _child(body: Callable[[], object], write_fd: int, parent_fds: tuple[int, ...]) -> NoReturn:
+    """Forked child: close this process's pipe ends, pickle ``body()`` into ``write_fd`` and exit.
 
     ``os._exit`` skips the parent's stack, atexit handlers and buffered
     output, which must run once, in the parent.
     """
     code = 1
     try:
-        os.close(read_fd)
+        for fd in parent_fds:
+            os.close(fd)
         with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump(run(share), pipe)
+            pickle.dump(body(), pipe)
         code = 0
     except Exception:  # an interrupt or exit ends the child quietly; the parent reports it
         import traceback
@@ -45,36 +54,113 @@ def _worker(run: Callable[[range], list], share: range, read_fd: int, write_fd: 
         os._exit(code)
 
 
+def _fork(body: Callable[[], object], parent_fds: tuple[int, ...], child_fds: tuple[int, ...]) -> int:
+    """Fork a child that pickles ``body()`` into ``child_fds[0]``; return its pid.
+
+    ``parent_fds`` are the pipe ends only this process uses and ``child_fds``
+    those only the child uses; each side closes the other's, and a failed fork
+    closes all.
+    """
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (*parent_fds, *child_fds):
+            os.close(fd)
+        raise
+    if pid == 0:
+        _child(body, child_fds[0], parent_fds)
+    for fd in child_fds:
+        os.close(fd)
+    return pid
+
+
+def _wait(pid: int, pipe: BinaryIO) -> tuple[bytes, int]:
+    """Read ``pid``'s pickled result to end of file, then reap it; returns the bytes and its wait status."""
+    with pipe:
+        payload = pipe.read()
+    return payload, os.waitpid(pid, 0)[1]
+
+
+def _unpickle(payload: bytes, status: int):
+    if status != 0:
+        raise ChildProcessError(f"forked worker exited with code {os.waitstatus_to_exitcode(status)}")
+    return pickle.loads(payload)
+
+
+def _kill(pid: int, pipe: BinaryIO) -> None:
+    import signal  # imported here, off every command's start-up
+
+    os.kill(pid, signal.SIGKILL)
+    pipe.close()
+    os.waitpid(pid, 0)
+
+
 def forked(run: Callable[[range], list[T]], tasks: int, workers: int) -> list[T]:
     """``run(range(tasks))`` with task r run by worker r % workers; worker 0 is this process."""
     children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe, until reaped
     try:
         for worker in range(1, workers):
             read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _worker(run, range(worker, tasks, workers), read_fd, write_fd)
-            os.close(write_fd)
+            pid = _fork(partial(run, range(worker, tasks, workers)), (read_fd,), (write_fd,))
             children[pid] = os.fdopen(read_fd, "rb")
         shares = [run(range(0, tasks, workers))]
-        for pid, pipe in list(children.items()):
-            payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            pipe.close()
+        for pid in list(children):
+            payload, status = _wait(pid, children[pid])
             del children[pid]
-            if status != 0:
-                raise ChildProcessError(f"forked worker exited with code {os.waitstatus_to_exitcode(status)}")
-            shares.append(pickle.loads(payload))
+            shares.append(_unpickle(payload, status))
     finally:
-        if children:  # this process failed first: stop the workers rather than wait for them
-            import signal
-            for pid, pipe in children.items():
-                os.kill(pid, signal.SIGKILL)
-                pipe.close()
-                os.waitpid(pid, 0)
+        for pid, pipe in children.items():  # this process failed first: stop the workers rather than wait
+            _kill(pid, pipe)
     return [shares[r % workers][r // workers] for r in range(tasks)]
+
+
+class ForkedCall(Generic[T]):
+    """``call(*args)`` in a child forked now, whose ``args`` are sent later.
+
+    The child runs ``prepare()`` at once, then reads ``args`` as one pickle. It
+    never reads to end of file, since a child this process forks before
+    ``send`` keeps a copy of the pipe's write end open. ``send`` passes the
+    arguments, ``result`` returns what the call returned, and ``close`` kills
+    a child that ``result`` has not reaped; call it on every path.
+    """
+
+    def __init__(self, call: Callable[..., T], prepare: Callable[[], object]):
+        self.args: tuple | None = None  # what ``send`` passed, until ``result`` returns
+        fds: list[int] = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        request_read, request_write, result_read, result_write = fds
+
+        def body() -> T:
+            prepare()
+            with os.fdopen(request_read, "rb") as pipe:
+                args = pickle.load(pipe)
+            return call(*args)
+
+        self.pid: int | None = _fork(body, (request_write, result_read), (result_write, request_read))
+        self._request = os.fdopen(request_write, "wb")
+        self._result = os.fdopen(result_read, "rb")
+
+    def send(self, *args) -> None:
+        """Pass the call's arguments; a child that died already fails at ``result``."""
+        self.args = args
+        with suppress(BrokenPipeError), self._request:
+            pickle.dump(args, self._request)
+
+    def result(self) -> T:
+        """What the call returned, once the child exits."""
+        self._request.close()  # unsent, the child fails at end of file instead of waiting
+        payload, status = _wait(self.pid, self._result)
+        self.pid = self.args = None
+        return _unpickle(payload, status)
+
+    def close(self) -> None:
+        if self.pid is not None:
+            _kill(self.pid, self._result)
+            self.pid = None
+        self._request.close()

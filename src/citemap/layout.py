@@ -19,15 +19,24 @@ The peak is about 4.3 n x n float arrays, the inversion's workspace included.
 
 numpy is imported inside the functions that use it, not at module level, so
 importing this module (and ``citemap.cli``, which imports every module) loads
-only the standard library; the first layout in a process pays for the import.
+only the standard library. ``layout_worker`` forks a process that imports
+numpy at once and lays out one map when its matrix is sent, while this
+process does other work; ``layout`` then collects that map. The n x n arrays
+then live in the worker, which runs one BLAS thread: OpenBLAS's second thread
+would spin on the CPU this process needs, and a threaded inverse changes the
+map's last bits with the thread count. Without a worker, the first layout in
+a process imports numpy and runs on that process's BLAS threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from . import fork
 from .errors import ConfigError, ConsistencyError
 from .network import SimilarityMatrix
 
@@ -184,6 +193,7 @@ def layout(
     max_iter: int = 10_000,
     tol: float = 1e-8,
     trace: list[float] | None = None,
+    ahead: fork.ForkedCall | None = None,
 ) -> MapLayout:
     """Compute the 2D map for a similarity matrix.
 
@@ -193,7 +203,53 @@ def layout(
     when given, collects the objective value after every iteration (test
     hook); for disconnected inputs only the final assembled objective is
     traced. Raises ConfigError above ``MAX_LAYOUT_TERMS`` terms.
+
+    ``ahead`` is a ``layout_worker()``. If it was sent this matrix and these
+    settings, its map is returned, or its error raised here; a worker that
+    died raises ChildProcessError. Otherwise the map is computed here.
     """
+    if ahead is not None and trace is None and ahead.args == (sim, seed, max_iter, tol):
+        laid_out = ahead.result()
+        if isinstance(laid_out, Exception):
+            raise laid_out
+        return laid_out
+    return _lay_out(sim, seed, max_iter, tol, trace)
+
+
+def _prepare_worker() -> None:
+    """A layout worker's start, before its matrix arrives: one BLAS thread, and numpy loaded."""
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads OpenBLAS
+    import numpy.random  # noqa: F401  numpy itself, and the generator every layout seeds
+
+
+def _lay_out_or_error(sim: SimilarityMatrix, seed: int, max_iter: int, tol: float) -> MapLayout | Exception:
+    """A layout worker's call: the map, or the error, which ``layout`` raises in the process that sent it."""
+    try:
+        return _lay_out(sim, seed, max_iter, tol, None)
+    except Exception as exc:
+        return exc
+
+
+def layout_worker() -> fork.ForkedCall | None:
+    """A process forked to lay out a map beside this one's work, or None where it would not pay.
+
+    The worker imports numpy at once. Send it ``(sim, seed, max_iter, tol)``,
+    pass it to ``layout`` as ``ahead``, and close it on every path. None on
+    one CPU; when numpy is already imported, as in compare's workers, since a
+    child would then neither save the import nor choose its BLAS thread
+    count; and when the fork fails. ``layout`` then computes the map in this
+    process.
+    """
+    if fork.cpus() < 2 or "numpy" in sys.modules:
+        return None
+    try:
+        return fork.ForkedCall(_lay_out_or_error, _prepare_worker)
+    except OSError:
+        return None
+
+
+def _lay_out(sim: SimilarityMatrix, seed: int, max_iter: int, tol: float, trace: list[float] | None) -> MapLayout:
+    """``layout`` computed in this process."""
     n = len(sim.terms)
     if n < 1:
         raise ValueError("layout needs at least one term")

@@ -29,7 +29,7 @@ from .compare import ComparisonReport, triplet_report
 from .corpus import SET_TAGS, CorpusStats, Document, check_field_types, dataset_stats, load_corpus
 from .errors import CitemapError, ConfigError, StageError
 from .exports import export_graph_json, export_map, export_network, export_terms, render_svg, write_json, write_lines
-from .layout import MapLayout, layout
+from .layout import MapLayout, layout, layout_worker
 from .network import (
     BINARY,
     COUNTINGS,
@@ -168,11 +168,11 @@ def _resolve_word_lists(config: PipelineConfig) -> WordLists:
     )
 
 
-def _stage(name: str, call: Callable, *args):
-    """``call(*args)``, failing as StageError(name). Upstream stages passed in
+def _stage(name: str, call: Callable, *args, **kwargs):
+    """``call(*args, **kwargs)``, failing as StageError(name). Upstream stages passed in
     ``args`` are computed before this stage begins, so their failures keep their names."""
     try:
-        return call(*args)
+        return call(*args, **kwargs)
     except (CitemapError, ValueError, OSError) as exc:
         raise StageError(name, exc) from exc
 
@@ -194,14 +194,17 @@ class Run:
     The constructor validates the config and loads the corpus and word lists.
     Each stage is a property computed once: corpus_stats, units, lexicon,
     network (after the relevance cut), similarity, clustering and map_layout.
+    A ``layout_worker()`` given here is sent the similarity once it is
+    computed, and map_layout collects the map it lays out meanwhile.
     """
 
-    def __init__(self, config: PipelineConfig):
+    def __init__(self, config: PipelineConfig, layout_worker: fork.ForkedCall | None = None):
         config.validate()
         if not config.corpus:
             raise ConfigError("no corpus path configured; give one with --corpus or the config's 'corpus' key")
         corpus_path = Path(config.corpus)
         self.config = config
+        self.layout_worker = layout_worker
         # parse and digest the same bytes, as for the word lists
         data = _stage("ingest", corpus_path.read_bytes)
         self.documents, self.contexts = _stage("ingest", load_corpus, corpus_path, data)
@@ -241,7 +244,11 @@ class Run:
 
     @cached_property
     def similarity(self) -> SimilarityMatrix:
-        return _stage("relevance", association_strength, self.network)
+        sim = _stage("relevance", association_strength, self.network)
+        if self.layout_worker is not None:
+            config = self.config
+            self.layout_worker.send(sim, config.seed, config.layout_max_iter, config.layout_tol)
+        return sim
 
     @cached_property
     def clustering(self) -> Clustering:
@@ -251,13 +258,24 @@ class Run:
     @cached_property
     def map_layout(self) -> MapLayout:
         config = self.config
-        return _stage("layout", layout, self.similarity, config.seed, config.layout_max_iter, config.layout_tol)
+        return _stage("layout", layout, self.similarity, config.seed, config.layout_max_iter, config.layout_tol,
+                      ahead=self.layout_worker)
 
 
 def analyze(config: PipelineConfig) -> Run:
-    """A run with every stage computed, clustering before layout (no files written)."""
-    run = Run(config)
-    run.clustering, run.map_layout  # reading a stage computes it
+    """A run with every stage computed, clustering before layout (no files written).
+
+    Where ``layout_worker()`` forks a worker, it starts before the corpus is
+    read, so numpy loads beside the text stages, and it lays out the map
+    while this process clusters. It is reaped before this returns or raises.
+    """
+    worker = layout_worker()
+    try:
+        run = Run(config, worker)
+        run.clustering, run.map_layout  # reading a stage computes it
+    finally:
+        if worker is not None:
+            worker.close()
     return run
 
 

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+import subprocess
+import sys
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+import citemap
 import citemap.clustering as clustering_module
 from citemap.corpus import CitationContext, Document
 from citemap.network import CoocNetwork, SimilarityMatrix, TermNode
@@ -62,3 +68,51 @@ def deadline():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+def run_fresh(probe: str) -> subprocess.CompletedProcess:
+    """Run ``probe`` in a fresh interpreter on this checkout's ``citemap``, so nothing this process loaded counts."""
+    src = str(Path(citemap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+
+
+# runs ``patch``, then ``main(argv)``, counting the layout workers forked, and prints what it saw
+FRESH_CLI_PROBE = """\
+import json, os, sys
+import citemap.fork as fork
+from citemap.cli import main
+workers = []
+make_worker = fork.ForkedCall.__init__
+fork.ForkedCall.__init__ = lambda self, *args: workers.append(1) or make_worker(self, *args)
+{patch}
+try:
+    code = main({argv!r})
+except KeyboardInterrupt:
+    code = "interrupted"
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children_left = True
+except ChildProcessError:
+    children_left = False
+print(json.dumps([code, len(workers), "numpy" in sys.modules, children_left]))
+"""
+
+
+@dataclass(frozen=True)
+class FreshCli:
+    code: int | str  # "interrupted" for a KeyboardInterrupt out of main
+    workers: int  # layout workers forked
+    numpy: bool  # numpy imported in the CLI process
+    children_left: bool
+    stderr: str
+
+
+def run_cli_fresh(argv: list[str], patch: str = "", cpus: int | None = None) -> FreshCli:
+    """``main(argv)`` in a fresh interpreter, after ``patch`` and, if given, with ``fork.cpus()`` returning ``cpus``."""
+    if cpus is not None:
+        patch = f"fork.cpus = lambda: {cpus}\n{patch}"
+    result = run_fresh(FRESH_CLI_PROBE.format(patch=patch, argv=[str(arg) for arg in argv]))
+    lines = result.stdout.splitlines()
+    assert result.returncode == 0 and lines, result.stderr
+    return FreshCli(*json.loads(lines[-1]), result.stderr)

@@ -1,4 +1,5 @@
-"""compare's three networks on forked workers: same reports, same failures, no child left behind."""
+"""Forked workers: compare's three networks and the CLI's layout worker give the same results and
+failures as one process, and leave no child behind."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from citemap.errors import ConfigError, StageError
 from citemap.exports import write_json
 from citemap.pipeline import PipelineConfig, compare_networks
 
-from conftest import assert_no_children_left, set_cpus
+from conftest import assert_no_children_left, run_cli_fresh, run_fresh, set_cpus
 
 REPO = Path(__file__).resolve().parents[1]
 COMPARISON_GOLDEN = REPO / "tests" / "golden" / "planted" / "comparison.json"
@@ -109,12 +110,12 @@ class TestFailingCompareWorker:
         def arm(where: str, how: str) -> type[Exception]:
             parent, real_layout = os.getpid(), pipeline_module.layout
 
-            def failing_layout(*args):
+            def failing_layout(*args, **kwargs):
                 if (os.getpid() == parent) == (where == "parent"):
                     if how == "exit":
                         os._exit(1)
                     raise (ValueError if how == "raise" else RuntimeError)("injected layout failure")
-                return real_layout(*args)
+                return real_layout(*args, **kwargs)
 
             monkeypatch.setattr(pipeline_module, "layout", failing_layout)
             set_cpus(monkeypatch, 4)
@@ -139,3 +140,149 @@ class TestFailingCompareWorker:
             assert main(["compare", "--corpus", str(planted_corpus), "--out", str(tmp_path / "out")]) == 3
             assert capsys.readouterr().err == f"error: {caught.value}\n"
             assert_no_children_left()
+
+
+@pytest.mark.usefixtures("deadline")
+class TestForkedCall:
+    def test_prepares_before_the_arguments_arrive(self, tmp_path):
+        marker = tmp_path / "prepared"
+        call = fork_module.ForkedCall(lambda a, b: (a + b, marker.exists()), marker.touch)
+        while not marker.exists():  # the child prepares before anything is sent
+            time.sleep(0.01)
+        call.send(2, 3)
+        assert call.args == (2, 3)
+        assert call.result() == (5, True)
+        assert call.args is None  # collected once
+        call.close()
+        assert_no_children_left()
+
+    @pytest.mark.parametrize("send", [False, True])
+    def test_close_stops_a_waiting_or_working_child(self, send):
+        call = fork_module.ForkedCall(time.sleep, lambda: None)
+        if send:
+            call.send(60)
+        call.close()
+        call.close()
+        assert_no_children_left()
+
+    @pytest.mark.parametrize("fail", ["raise", "unsent"])
+    def test_failed_call_is_child_process_error(self, fail, capfd):
+        call = fork_module.ForkedCall(lambda: 1 / 0, lambda: None)
+        if fail == "raise":
+            call.send()
+        with pytest.raises(ChildProcessError, match="exited with code 1"):
+            call.result()  # unsent, the child reads end of file rather than wait forever
+        call.close()
+        assert_no_children_left()
+        assert ("ZeroDivisionError" if fail == "raise" else "EOFError") in capfd.readouterr().err
+
+
+def failing_layout_probe(how: str) -> str:
+    """Probe code: the layout worker is killed as it starts the layout, or whichever process lays out raises."""
+    action = {"killed": "if os.getpid() != parent: os.kill(os.getpid(), signal.SIGKILL)",
+              "raise": "raise ValueError('injected')"}[how]
+    return ("import signal; layout_module = sys.modules['citemap.layout']; parent = os.getpid(); "
+            "lay_out = layout_module._lay_out\n"
+            "def failing(*args):\n"
+            f"    {action}\n"
+            "    return lay_out(*args)\n"
+            "layout_module._lay_out = failing")
+
+
+class TestLayoutWorker:
+    """The CLI's layout worker, run in fresh interpreters: this test process has numpy loaded, so it forks none."""
+
+    @pytest.mark.parametrize("command", ["layout", "export", "pipeline"])
+    def test_same_files_with_and_without_the_worker(self, command, demo_corpus, tmp_path):
+        outputs = {}
+        for cpus in (1, 2):
+            out = tmp_path / str(cpus)
+            run = run_cli_fresh([command, "--corpus", demo_corpus, "--out", out], cpus=cpus)
+            assert (run.code, run.workers, run.children_left, run.stderr) == (0, cpus - 1, False, "")
+            outputs[cpus] = {path.name: path.read_bytes() for path in out.iterdir() if path.name != "manifest.json"}
+        assert outputs[2] == outputs[1]
+        golden = REPO / "tests" / "golden" / "demo"
+        assert all(data == (golden / name).read_bytes() for name, data in outputs[2].items())
+
+    @pytest.mark.parametrize("argv, patch, stage", [
+        (["--min-occurrences", "1000"], "", "lexicon"),  # before the worker is sent anything
+        ([], "import citemap.pipeline\ndef failing(*args):\n    raise ValueError('injected')\n"
+             "citemap.pipeline.cluster = failing", "cluster"),  # while the worker lays out
+    ])
+    def test_stage_failing_around_the_layout_reports_as_on_one_cpu(self, argv, patch, stage, demo_corpus, tmp_path):
+        runs = {cpus: run_cli_fresh(["pipeline", "--corpus", demo_corpus, "--out", tmp_path / "out", *argv],
+                                    patch, cpus=cpus) for cpus in (1, 2)}
+        assert (runs[1].code, runs[2].code) == (3, 3)
+        assert runs[1].stderr.startswith(f"error: stage '{stage}' failed: ")
+        assert runs[2].stderr == runs[1].stderr
+        assert (runs[2].workers, runs[2].numpy, runs[2].children_left) == (1, False, False)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_oversized_map_is_config_error(self, cpus, demo_corpus, tmp_path):
+        patch = "sys.modules['citemap.layout'].MAX_LAYOUT_TERMS = 5"
+        run = run_cli_fresh(["pipeline", "--corpus", demo_corpus, "--out", tmp_path / "out"], patch, cpus=cpus)
+        assert (run.code, run.workers, run.children_left) == (2, cpus - 1, False)
+        assert run.stderr == ("error: stage 'layout' failed: cannot lay out 19 terms, the limit is 5; "
+                              "raise --min-occurrences to keep fewer terms\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("how, cpus, error", [
+        ("killed", 2, "forked worker exited with code -9"),  # a dead process is an OSError: exit code 3
+        ("raise", 1, "injected"),
+        ("raise", 2, "injected"),  # raised in the worker, then again in the CLI process
+    ])
+    def test_failing_layout_fails_the_layout_stage(self, how, cpus, error, demo_corpus, tmp_path):
+        argv = ["layout", "--corpus", demo_corpus, "--out", tmp_path / "out"]
+        run = run_cli_fresh(argv, failing_layout_probe(how), cpus)
+        assert (run.code, run.workers, run.children_left) == (3, cpus - 1, False)
+        assert run.stderr == f"error: stage 'layout' failed: {error}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_interrupt_while_the_worker_lays_out(self, demo_corpus, tmp_path):
+        patch = ("import citemap.pipeline\ndef interrupt(*args):\n    raise KeyboardInterrupt\n"
+                 "citemap.pipeline.cluster = interrupt")
+        run = run_cli_fresh(["pipeline", "--corpus", demo_corpus, "--out", tmp_path / "out"], patch, cpus=2)
+        assert (run.code, run.workers, run.children_left) == ("interrupted", 1, False)
+
+    @pytest.mark.parametrize("command, patch, cpus", [
+        ("pipeline", "", 1),
+        ("pipeline", "import numpy", 2),
+        *((command, "", 2) for command in ("ingest", "extract", "build", "cluster")),
+    ])
+    def test_no_worker(self, command, patch, cpus, demo_corpus, tmp_path):
+        run = run_cli_fresh([command, "--corpus", demo_corpus, "--out", tmp_path], patch, cpus=cpus)
+        assert (run.code, run.workers, run.children_left, run.stderr) == (0, 0, False, "")
+
+    def test_failed_fork_lays_out_here(self, demo_corpus, tmp_path):
+        patch = ("fork_once = os.fork\n"
+                 "def fail_once():\n"
+                 "    os.fork = fork_once\n"
+                 "    raise BlockingIOError(11, 'Resource temporarily unavailable')\n"
+                 "os.fork = fail_once")
+        run = run_cli_fresh(["export", "--corpus", demo_corpus, "--out", tmp_path], patch, cpus=2)
+        assert (run.code, run.workers, run.numpy, run.children_left, run.stderr) == (0, 1, True, False, "")
+        golden = REPO / "tests" / "golden" / "demo" / "map.tsv"
+        assert (tmp_path / "map.tsv").read_bytes() == golden.read_bytes()
+
+    @pytest.mark.skipif(fork_module.cpus() < 2, reason="needs two CPUs")
+    def test_map_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, tmp_path):
+        # map_1k's job on its seed-1 corpus 0: a map of some 200 terms, whose positions a
+        # threaded inverse changes in the last bits with the BLAS thread count
+        monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+        corpora = importlib.import_module("corpora")
+        corpus = corpora.write_jsonl(tmp_path / "pareto_1k.jsonl", corpora.pareto_topic(1000, 1000))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"layout_max_iter": 300}), encoding="utf-8")
+        outputs = {}
+        for label, affinity in (("one", {min(os.sched_getaffinity(0))}), ("all", os.sched_getaffinity(0))):
+            out = tmp_path / label
+            argv = ["pipeline", "--corpus", str(corpus), "--config", str(config), "--out", str(out),
+                    "--mode", "title-abstract", "--set", "both", "--min-occurrences", "10"]
+            result = run_fresh(f"import os, sys; os.sched_setaffinity(0, {sorted(affinity)!r}); "
+                               f"from citemap.cli import main; sys.exit(main({argv!r}))")
+            assert (result.returncode, result.stderr) == (0, "")
+            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            del manifest["parameters"]["corpus"], manifest["parameters"]["out_dir"]
+            outputs[label] = [(out / "graph.json").read_bytes(), (out / "map.tsv").read_bytes(), manifest]
+        assert outputs["all"] == outputs["one"]

@@ -7,7 +7,6 @@ import json
 import math
 import os
 import pkgutil
-import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -33,7 +32,7 @@ from citemap.pipeline import (
     run_pipeline,
 )
 
-from conftest import ctx, doc, sim
+from conftest import ctx, doc, run_cli_fresh, run_fresh, sim
 
 
 def demo_config(demo_corpus, out_dir, **overrides) -> PipelineConfig:
@@ -521,19 +520,12 @@ class TestImportHygiene:
         assert imported.MAX_LAYOUT_TERMS == 5000
         assert citemap.layout is imported
 
-    @staticmethod
-    def run_fresh(probe: str) -> subprocess.CompletedProcess:
-        # a fresh interpreter per import, so that nothing this test process has loaded counts
-        src = str(Path(citemap.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
-
     def test_cli_import_loads_no_http_stack(self):
         for module in ("citemap.cli", "citemap"):
             probe = (f"import json, sys, {module}; "
                      "print(json.dumps([m for m in ('requests', 'urllib.request', 'http.client', 'xml.sax') "
                      "if m in sys.modules]))")
-            result = self.run_fresh(probe)
+            result = run_fresh(probe)
             assert result.returncode == 0, (module, result.stderr)
             assert json.loads(result.stdout) == [], module
 
@@ -542,21 +534,24 @@ class TestImportHygiene:
         probe = ("import json, sys; before = set(sys.modules); import citemap.cli; "
                  "print(json.dumps(sorted({m.partition('.')[0] for m in set(sys.modules) - before} "
                  "- set(sys.stdlib_module_names) - {'citemap'})))")
-        result = self.run_fresh(probe)
+        result = run_fresh(probe)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == []
 
-    @pytest.mark.parametrize("command, lays_out", [
-        ("ingest", False), ("extract", False), ("build", False), ("cluster", False),
-        ("layout", True), ("pipeline", True),
+    @pytest.mark.parametrize("command, lays_out, cpus", [
+        pytest.param(command, lays_out, cpus, id=f"{command}-{lays_out}" + ("-2cpus" if cpus == 2 else ""))
+        for cpus in (1, 2) for command, lays_out in [
+            ("ingest", False), ("extract", False), ("build", False), ("cluster", False),
+            ("layout", True), ("export", True), ("pipeline", True),
+        ]
     ])
-    def test_only_commands_that_lay_out_load_numpy(self, command, lays_out, demo_corpus, tmp_path):
-        probe = ("import json, sys; from citemap.cli import main; "
-                 f"code = main([{command!r}, '--corpus', {str(demo_corpus)!r}, '--out', {str(tmp_path)!r}]); "
-                 "print(json.dumps([code, 'numpy' in sys.modules]))")
-        result = self.run_fresh(probe)
-        assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout.splitlines()[-1]) == [0, lays_out]
+    def test_only_commands_that_lay_out_load_numpy(self, command, lays_out, cpus, demo_corpus, tmp_path):
+        # on more than one CPU a forked layout worker imports numpy instead of the CLI process
+        run = run_cli_fresh([command, "--corpus", demo_corpus, "--out", tmp_path], cpus=cpus)
+        assert (run.code, run.children_left) == (0, False), run.stderr
+        assert run.stderr == ""
+        assert run.workers == (lays_out and cpus > 1)
+        assert run.numpy == (lays_out and cpus == 1)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_compare_imports_numpy_before_it_forks(self, cpus, planted_corpus, tmp_path):
@@ -566,7 +561,7 @@ class TestImportHygiene:
                  "fork.forked = lambda *args: loaded.append('numpy' in sys.modules) or forked(*args); "
                  f"code = main(['compare', '--corpus', {str(planted_corpus)!r}, '--out', {str(tmp_path)!r}]); "
                  "print(json.dumps([code, loaded[0]]))")
-        result = self.run_fresh(probe)
+        result = run_fresh(probe)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout.splitlines()[-1]) == [0, cpus > 1]
         golden = Path(__file__).parent / "golden" / "planted" / "comparison.json"
@@ -577,7 +572,7 @@ class TestImportHygiene:
         modules = [f"citemap.{info.name}" for info in pkgutil.iter_modules(citemap.__path__)]
         assert {"citemap.cli", "citemap.corpus", "citemap.pipeline"} <= set(modules)
         for module in modules:
-            result = self.run_fresh(f"import sys; sys.modules['requests'] = None; import {module}")
+            result = run_fresh(f"import sys; sys.modules['requests'] = None; import {module}")
             assert result.returncode == 0, (module, result.stderr)
 
     def test_every_exported_name_resolves(self):
