@@ -15,9 +15,9 @@ files read (``pipeline.Run``), from the corpus load up to the last one below:
 
 numpy is imported only to lay out a map. layout, export and pipeline compute
 their stages by ``pipeline.analyze``, which on more than one CPU forks a
-layout worker that imports numpy beside the text stages and lays the map out
-beside the clustering, so this process never imports it ("worker" above); on
-one CPU the layout imports it here. compare imports it once before it forks
+layout worker that imports numpy beside the text stages and then lays out the
+map, so this process never imports it ("worker" above); on one CPU the
+layout imports it here. compare imports it once before it forks
 its workers, or at its first layout on one CPU. Importing this module loads
 only the standard library and ``citemap``.
 

@@ -115,17 +115,16 @@ def forked(run: Callable[[range], list[T]], tasks: int, workers: int) -> list[T]
 
 
 class ForkedCall(Generic[T]):
-    """``call(*args)`` in a child forked now, whose ``args`` are sent later.
+    """``call(*args)`` in a child forked now, whose ``args`` are given later.
 
-    The child runs ``prepare()`` at once, then reads ``args`` as one pickle. It
-    never reads to end of file, since a child this process forks before
-    ``send`` keeps a copy of the pipe's write end open. ``send`` passes the
-    arguments, ``result`` returns what the call returned, and ``close`` kills
-    a child that ``result`` has not reaped; call it on every path.
+    The child runs ``prepare()`` at once, then reads ``args`` as one pickle,
+    never up to end of file, since another child this process forks meanwhile
+    holds a copy of the pipe's write end. Calling this object passes the
+    arguments and returns what the call returned; ``close`` kills a child
+    that was never called. Call ``close`` on every path.
     """
 
     def __init__(self, call: Callable[..., T], prepare: Callable[[], object]):
-        self.args: tuple | None = None  # what ``send`` passed, until ``result`` returns
         fds: list[int] = []
         try:
             fds += os.pipe()
@@ -146,17 +145,12 @@ class ForkedCall(Generic[T]):
         self._request = os.fdopen(request_write, "wb")
         self._result = os.fdopen(result_read, "rb")
 
-    def send(self, *args) -> None:
-        """Pass the call's arguments; a child that died already fails at ``result``."""
-        self.args = args
+    def __call__(self, *args) -> T:
+        """What ``call(*args)`` returned in the child, once it exits; a child that died raises ChildProcessError."""
         with suppress(BrokenPipeError), self._request:
             pickle.dump(args, self._request)
-
-    def result(self) -> T:
-        """What the call returned, once the child exits."""
-        self._request.close()  # unsent, the child fails at end of file instead of waiting
         payload, status = _wait(self.pid, self._result)
-        self.pid = self.args = None
+        self.pid = None
         return _unpickle(payload, status)
 
     def close(self) -> None:

@@ -20,12 +20,13 @@ The peak is about 4.3 n x n float arrays, the inversion's workspace included.
 numpy is imported inside the functions that use it, not at module level, so
 importing this module (and ``citemap.cli``, which imports every module) loads
 only the standard library. ``layout_worker`` forks a process that imports
-numpy at once and lays out one map when its matrix is sent, while this
-process does other work; ``layout`` then collects that map. The n x n arrays
-then live in the worker, which runs one BLAS thread: OpenBLAS's second thread
+numpy at once, while this process does other work, and ``layout`` then has it
+lay out the map. The n x n arrays then live in the worker, which sets
+``OPENBLAS_NUM_THREADS=1``: where numpy uses OpenBLAS, its second thread
 would spin on the CPU this process needs, and a threaded inverse changes the
-map's last bits with the thread count. Without a worker, the first layout in
-a process imports numpy and runs on that process's BLAS threads.
+map's last bits with the thread count. Other BLAS libraries ignore the
+setting. Without a worker, the first layout in a process imports numpy and
+runs on that process's BLAS threads.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def layout(
     max_iter: int = 10_000,
     tol: float = 1e-8,
     trace: list[float] | None = None,
-    ahead: fork.ForkedCall | None = None,
+    worker: fork.ForkedCall | None = None,
 ) -> MapLayout:
     """Compute the 2D map for a similarity matrix.
 
@@ -204,12 +205,12 @@ def layout(
     hook); for disconnected inputs only the final assembled objective is
     traced. Raises ConfigError above ``MAX_LAYOUT_TERMS`` terms.
 
-    ``ahead`` is a ``layout_worker()``. If it was sent this matrix and these
-    settings, its map is returned, or its error raised here; a worker that
-    died raises ChildProcessError. Otherwise the map is computed here.
+    ``worker`` is a ``layout_worker()`` not yet called. Unless ``trace`` is
+    given, the map is computed there, and its error raised here; a worker
+    that died raises ChildProcessError.
     """
-    if ahead is not None and trace is None and ahead.args == (sim, seed, max_iter, tol):
-        laid_out = ahead.result()
+    if worker is not None and trace is None:
+        laid_out = worker(sim, seed, max_iter, tol)
         if isinstance(laid_out, Exception):
             raise laid_out
         return laid_out
@@ -223,7 +224,7 @@ def _prepare_worker() -> None:
 
 
 def _lay_out_or_error(sim: SimilarityMatrix, seed: int, max_iter: int, tol: float) -> MapLayout | Exception:
-    """A layout worker's call: the map, or the error, which ``layout`` raises in the process that sent it."""
+    """A layout worker's call: the map, or the error, which ``layout`` raises in the process that called it."""
     try:
         return _lay_out(sim, seed, max_iter, tol, None)
     except Exception as exc:
@@ -231,10 +232,9 @@ def _lay_out_or_error(sim: SimilarityMatrix, seed: int, max_iter: int, tol: floa
 
 
 def layout_worker() -> fork.ForkedCall | None:
-    """A process forked to lay out a map beside this one's work, or None where it would not pay.
+    """A process forked to import numpy beside this one's work and lay out a map, or None where it would not pay.
 
-    The worker imports numpy at once. Send it ``(sim, seed, max_iter, tol)``,
-    pass it to ``layout`` as ``ahead``, and close it on every path. None on
+    Pass it to ``layout`` as ``worker``, and close it on every path. None on
     one CPU; when numpy is already imported, as in compare's workers, since a
     child would then neither save the import nor choose its BLAS thread
     count; and when the fork fails. ``layout`` then computes the map in this

@@ -194,8 +194,7 @@ class Run:
     The constructor validates the config and loads the corpus and word lists.
     Each stage is a property computed once: corpus_stats, units, lexicon,
     network (after the relevance cut), similarity, clustering and map_layout.
-    A ``layout_worker()`` given here is sent the similarity once it is
-    computed, and map_layout collects the map it lays out meanwhile.
+    A ``layout_worker()`` given here lays out the map for map_layout.
     """
 
     def __init__(self, config: PipelineConfig, layout_worker: fork.ForkedCall | None = None):
@@ -244,11 +243,7 @@ class Run:
 
     @cached_property
     def similarity(self) -> SimilarityMatrix:
-        sim = _stage("relevance", association_strength, self.network)
-        if self.layout_worker is not None:
-            config = self.config
-            self.layout_worker.send(sim, config.seed, config.layout_max_iter, config.layout_tol)
-        return sim
+        return _stage("relevance", association_strength, self.network)
 
     @cached_property
     def clustering(self) -> Clustering:
@@ -259,7 +254,7 @@ class Run:
     def map_layout(self) -> MapLayout:
         config = self.config
         return _stage("layout", layout, self.similarity, config.seed, config.layout_max_iter, config.layout_tol,
-                      ahead=self.layout_worker)
+                      worker=self.layout_worker)
 
 
 def analyze(config: PipelineConfig) -> Run:
@@ -267,7 +262,8 @@ def analyze(config: PipelineConfig) -> Run:
 
     Where ``layout_worker()`` forks a worker, it starts before the corpus is
     read, so numpy loads beside the text stages, and it lays out the map
-    while this process clusters. It is reaped before this returns or raises.
+    once this process has clustered. It is reaped before this returns or
+    raises.
     """
     worker = layout_worker()
     try:

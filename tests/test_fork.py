@@ -7,6 +7,8 @@ import importlib
 import json
 import os
 import pickle
+import signal
+import threading
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -149,32 +151,40 @@ class TestForkedCall:
         call = fork_module.ForkedCall(lambda a, b: (a + b, marker.exists()), marker.touch)
         while not marker.exists():  # the child prepares before anything is sent
             time.sleep(0.01)
-        call.send(2, 3)
-        assert call.args == (2, 3)
-        assert call.result() == (5, True)
-        assert call.args is None  # collected once
+        assert call(2, 3) == (5, True)
         call.close()
         assert_no_children_left()
 
-    @pytest.mark.parametrize("send", [False, True])
-    def test_close_stops_a_waiting_or_working_child(self, send):
+    def test_close_stops_a_waiting_child(self):
         call = fork_module.ForkedCall(time.sleep, lambda: None)
-        if send:
-            call.send(60)
         call.close()
         call.close()
         assert_no_children_left()
 
-    @pytest.mark.parametrize("fail", ["raise", "unsent"])
-    def test_failed_call_is_child_process_error(self, fail, capfd):
-        call = fork_module.ForkedCall(lambda: 1 / 0, lambda: None)
-        if fail == "raise":
-            call.send()
-        with pytest.raises(ChildProcessError, match="exited with code 1"):
-            call.result()  # unsent, the child reads end of file rather than wait forever
+    def test_close_stops_a_working_child(self):
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        call = fork_module.ForkedCall(time.sleep, lambda: None)
+        previous = signal.signal(signal.SIGUSR1, interrupt)
+        timer = threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGUSR1))  # interrupts the wait for the result
+        try:
+            timer.start()
+            with pytest.raises(KeyboardInterrupt):
+                call(60)
+        finally:
+            timer.join()
+            signal.signal(signal.SIGUSR1, previous)
         call.close()
         assert_no_children_left()
-        assert ("ZeroDivisionError" if fail == "raise" else "EOFError") in capfd.readouterr().err
+
+    def test_raising_call_is_child_process_error(self, capfd):
+        call = fork_module.ForkedCall(lambda: 1 / 0, lambda: None)
+        with pytest.raises(ChildProcessError, match="exited with code 1"):
+            call()
+        call.close()
+        assert_no_children_left()
+        assert "ZeroDivisionError" in capfd.readouterr().err
 
 
 def failing_layout_probe(how: str) -> str:
@@ -187,6 +197,17 @@ def failing_layout_probe(how: str) -> str:
             f"    {action}\n"
             "    return lay_out(*args)\n"
             "layout_module._lay_out = failing")
+
+
+def numpy_uses_openblas() -> bool:
+    """Whether numpy's BLAS is OpenBLAS, whose thread count ``OPENBLAS_NUM_THREADS`` sets."""
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its build configuration
+        return False
+    return "openblas" in blas.lower()
 
 
 class TestLayoutWorker:
@@ -205,9 +226,9 @@ class TestLayoutWorker:
         assert all(data == (golden / name).read_bytes() for name, data in outputs[2].items())
 
     @pytest.mark.parametrize("argv, patch, stage", [
-        (["--min-occurrences", "1000"], "", "lexicon"),  # before the worker is sent anything
+        (["--min-occurrences", "1000"], "", "lexicon"),  # while the worker may still import numpy
         ([], "import citemap.pipeline\ndef failing(*args):\n    raise ValueError('injected')\n"
-             "citemap.pipeline.cluster = failing", "cluster"),  # while the worker lays out
+             "citemap.pipeline.cluster = failing", "cluster"),  # the last stage before the layout
     ])
     def test_stage_failing_around_the_layout_reports_as_on_one_cpu(self, argv, patch, stage, demo_corpus, tmp_path):
         runs = {cpus: run_cli_fresh(["pipeline", "--corpus", demo_corpus, "--out", tmp_path / "out", *argv],
@@ -239,11 +260,25 @@ class TestLayoutWorker:
         assert run.stderr == f"error: stage 'layout' failed: {error}\n"
         assert not (tmp_path / "out").exists()
 
-    def test_interrupt_while_the_worker_lays_out(self, demo_corpus, tmp_path):
-        patch = ("import citemap.pipeline\ndef interrupt(*args):\n    raise KeyboardInterrupt\n"
-                 "citemap.pipeline.cluster = interrupt")
+    @pytest.mark.parametrize("patch", [
+        # in the clustering, before the worker is called
+        "import citemap.pipeline\ndef interrupt(*args):\n    raise KeyboardInterrupt\n"
+        "citemap.pipeline.cluster = interrupt",
+        # while this process waits for the worker's map: an alarm, and a layout that would take 30 s
+        "import signal, time\nlayout_module = sys.modules['citemap.layout']\n"
+        "def interrupt(signum, frame):\n    raise KeyboardInterrupt\n"
+        "signal.signal(signal.SIGALRM, interrupt)\n"
+        "def slow(*args):\n    time.sleep(30)\n"
+        "layout_module._lay_out = slow\ncall = fork.ForkedCall.__call__\n"
+        "def alarmed(self, *args):\n    signal.setitimer(signal.ITIMER_REAL, 0.5)\n    return call(self, *args)\n"
+        "fork.ForkedCall.__call__ = alarmed",
+    ], ids=["clustering", "layout"])
+    def test_interrupt_stops_the_worker(self, patch, demo_corpus, tmp_path):
+        start = time.monotonic()
         run = run_cli_fresh(["pipeline", "--corpus", demo_corpus, "--out", tmp_path / "out"], patch, cpus=2)
         assert (run.code, run.workers, run.children_left) == ("interrupted", 1, False)
+        assert time.monotonic() - start < 20.0
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, patch, cpus", [
         ("pipeline", "", 1),
@@ -269,6 +304,8 @@ class TestLayoutWorker:
     def test_map_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, tmp_path):
         # map_1k's job on its seed-1 corpus 0: a map of some 200 terms, whose positions a
         # threaded inverse changes in the last bits with the BLAS thread count
+        if not numpy_uses_openblas():
+            pytest.skip("the layout worker sets the thread count of OpenBLAS only")
         monkeypatch.syspath_prepend(str(REPO / "perfbench"))
         corpora = importlib.import_module("corpora")
         corpus = corpora.write_jsonl(tmp_path / "pareto_1k.jsonl", corpora.pareto_topic(1000, 1000))
