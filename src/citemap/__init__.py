@@ -65,9 +65,7 @@ from .terms import (
     TITLE_ABSTRACT,
     Lexicon,
     build_lexicon,
-    extract_candidates,
     make_units,
-    segment,
     strip_citation_authors,
     unit_candidates,
 )

@@ -158,8 +158,8 @@ def _resolve_word_lists(config: PipelineConfig) -> WordLists:
         "exclusions": _read_word_list(config.exclusions, "exclusions.txt"),
         "thesaurus": _read_word_list(config.thesaurus, None),
     }
-    # parse and digest the same bytes, so the manifest names what was used
-    text = {name: data.decode("utf-8") if data is not None else "" for name, data in raw.items()}
+    # parse and digest the same bytes, so the manifest names what was used; a BOM is no part of an entry
+    text = {name: data.decode("utf-8-sig") if data is not None else "" for name, data in raw.items()}
     return WordLists(
         stoplist=frozenset(parse_word_list(text["stoplist"])),
         exclusions=frozenset(parse_word_list(text["exclusions"])),

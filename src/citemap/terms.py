@@ -24,18 +24,17 @@ alone (a token of hyphens only, or en and em dashes with whitespace or the
 text's edge on both sides), and at a possessive "'s" or "’s" (an apostrophe
 after a token character, then an "s" that ends a token), so "citation
 analysis, peer review" and "the journal's impact factor" join no phrases,
-while "core–periphery structure" stays one. ``segment`` keeps its tokens as
-they were: it drops those breaks and keeps the possessive's "s", so
-``extract_candidates`` on its sentences can join what a break ended;
-``unit_candidates`` gives a unit's candidates as the lexicon counts them.
+while "core–periphery structure" stays one. ``unit_candidates`` gives a
+unit's candidates as the lexicon counts them.
 
-A unit is tokenized once, into a token list in which "." marks a sentence
-end, "," a break inside a sentence and "'" a possessive, by C-implemented
-string methods on any text: ``translate`` turns every character that is
-neither alnum, "-" nor an apostrophe into a space (a run breaker into ","),
-the marks are spliced in, ``lower`` lowercases the whole spaced text, and
-``split`` cuts the tokens. Only standalone en and em dashes and apostrophes
-take a regular expression, and only in a text that holds them.
+A unit is tokenized once, into a token list in which one mark, ",", stands
+for every sentence end, run breaker, standalone dash and possessive.
+C-implemented string methods do the work on any text: ``translate`` turns
+every character that is neither alnum nor "-" into a space (a run breaker
+into ","), the marks of the sentence ends are spliced in, ``lower``
+lowercases the whole spaced text, and ``split`` cuts the tokens. Only
+standalone en and em dashes and possessives take a regular expression,
+before ``translate`` and only in a text that holds a dash or an apostrophe.
 
 Normalization is deliberately conservative: lowercase everything, strip one
 trailing "s" only when the singular form already occurs somewhere in the
@@ -70,7 +69,7 @@ ABBREVIATION_GUARDS = (
 )
 _GUARD_WINDOW = max(map(len, ABBREVIATION_GUARDS))
 
-# Patterns that only rare text needs (author citations, apostrophes, en and em
+# Patterns that only rare text needs (author citations, possessives, en and em
 # dashes) are strings, compiled on first use through re's cache, not at import.
 
 # A name whose first letter is upper- or titlecase, or that follows an
@@ -139,22 +138,21 @@ def _sentence_ends(text: str) -> list[int]:
     ]
 
 
-# The marks in a tokenized unit besides its tokens. None is a token, since a
-# token holds only characters that are alnum or "-", and none holds a letter, so
-# each breaks a candidate run.
-_SENTENCE_END, _RUN_BREAK, _POSSESSIVE = ".", ",", "'"
-_APOSTROPHES = "'\u2019"
+# The one mark in a tokenized unit besides its tokens, for a sentence end, a run
+# breaker, a dash standing alone and a possessive. It is no token, since a token
+# holds only characters that are alnum or "-", and it holds no letter, so it
+# breaks a candidate run.
+_RUN_BREAK = ","
 
 
 class _TokenTable(dict):
-    """``str.translate``'s table: a token character (alnum or "-") or an apostrophe
-    maps to itself, a run breaker to ",", any other character to a space. Each
-    value is one character, worked out when the character is first seen."""
+    """``str.translate``'s table: a token character (alnum or "-") maps to itself,
+    a run breaker to ",", any other character to a space. Each value is one
+    character, worked out when the character is first seen."""
 
     def __missing__(self, code: int) -> str:
         char = chr(code)
-        keep = char.isalnum() or char == "-" or char in _APOSTROPHES
-        self[code] = value = char if keep else _RUN_BREAK if char in RUN_BREAKERS else " "
+        self[code] = value = char if char.isalnum() or char == "-" else _RUN_BREAK if char in RUN_BREAKERS else " "
         return value
 
 
@@ -163,8 +161,9 @@ _TABLE = _TokenTable()
 # An en or em dash breaks a run only where it stands alone ("a \u2013 b", not "a\u2013b").
 _DASHES = "\u2013\u2014"
 _STANDALONE_DASHES = f"(?<!\\S)[{_DASHES}]+(?!\\S)"
-# an apostrophe, with the "s" after it when it follows a token character and the "s" ends a token
-_APOSTROPHE = f"[{_APOSTROPHES}](?:(?<=(?:[^\\W_]|-)[{_APOSTROPHES}])[sS](?![^\\W_]|-))?"
+# an apostrophe after a token character, then an "s" that ends a token; the
+# apostrophe comes first, so that a search skips to the next apostrophe
+_POSSESSIVE_S = "['\u2019](?<=(?:[^\\W_]|-)['\u2019])[sS](?![^\\W_]|-)"
 
 
 def _dash_break(match: re.Match) -> str:
@@ -172,58 +171,30 @@ def _dash_break(match: re.Match) -> str:
     return _RUN_BREAK.ljust(len(match[0]))
 
 
-def _apostrophe(match: re.Match) -> str:
-    return f" {_POSSESSIVE} " if len(match[0]) == 2 else " "
-
-
 def _tokenize(text: str) -> list[str]:
-    """The tokens of ``text`` in order, with the marks of its sentence ends, run breaks and possessives."""
+    """The tokens of ``text`` in order, with ``_RUN_BREAK`` for each sentence end,
+    run breaker, standalone dash and possessive."""
     ends = _sentence_ends(text)
     if "\u2013" in text or "\u2014" in text:  # one of _DASHES
         text = re.sub(_STANDALONE_DASHES, _dash_break, text)
-    spaced = text.translate(_TABLE)  # same length as text, so the ends still hold
+    if "'" in text or "\u2019" in text:  # the possessive's mark keeps the length, so the ends still hold
+        text = re.sub(_POSSESSIVE_S, _RUN_BREAK + " ", text)
+    spaced = text.translate(_TABLE)  # same length as text; other apostrophes are spaces now
+    unpadded = _RUN_BREAK in spaced  # the sentence ends' marks come padded
     if ends:  # the breaker before each end is a space now
-        spaced = f" {_SENTENCE_END} ".join(
+        spaced = f" {_RUN_BREAK} ".join(
             [spaced[start:end] for start, end in zip([0, *ends], [*ends, len(spaced)])]
         )
-    if "'" in spaced or "\u2019" in spaced:  # one of _APOSTROPHES
-        spaced = re.sub(_APOSTROPHE, _apostrophe, spaced)
-    if _RUN_BREAK in spaced:
+    if unpadded:
         spaced = spaced.replace(_RUN_BREAK, f" {_RUN_BREAK} ")
     # Lowercasing the whole text equals lowercasing token by token: no character
     # lowercases to whitespace, and a space bounds both "İ" (to two characters)
     # and the context of a final "Σ". An apostrophe would not bound the context,
-    # so lowercasing comes after the apostrophe step ("ΟΔΟΣ’s" gives "οδος").
+    # so lowercasing comes after the apostrophes are spaces ("ΟΔΟΣ’s" gives "οδος").
     tokens = spaced.lower().split()
     if "-" in spaced:  # hyphens survive only inside a token; a dash standing alone breaks a run
         tokens = [token.strip("-") or _RUN_BREAK for token in tokens]
     return tokens
-
-
-def segment(text: str) -> list[list[str]]:
-    """Split text into sentences of lowercase tokens.
-
-    Sentences end at ``.?!;`` followed by whitespace unless guarded by a
-    known abbreviation ("et al.", "e.g.", ...); tokens split on whitespace
-    and punctuation with hyphens preserved inside tokens. Run breaks inside a
-    sentence (a comma, a spaced dash, a possessive) are dropped, so use
-    ``unit_candidates``, not ``extract_candidates`` on these sentences, for
-    the candidates that ``build_lexicon`` counts.
-    """
-    sentences: list[list[str]] = []
-    current: list[str] = []
-    for token in _tokenize(text):
-        if token == _SENTENCE_END:
-            if current:
-                sentences.append(current)
-                current = []
-        elif token == _POSSESSIVE:
-            current.append("s")
-        elif token != _RUN_BREAK:
-            current.append(token)
-    if current:
-        sentences.append(current)
-    return sentences
 
 
 def _fate(token: str, stopset: frozenset[str] | set[str], vocabulary: Container[str] | None) -> str | None:
@@ -252,24 +223,6 @@ def _candidates(tokens: Sequence[str], fate: Mapping[str, str | None]) -> list[s
     return candidates
 
 
-def extract_candidates(
-    sentence: Sequence[str],
-    stoplist: Iterable[str],
-    singular_vocabulary: frozenset[str] | set[str] | None = None,
-) -> list[str]:
-    """Candidates of one sentence: maximal content runs plus their suffixes.
-
-    Stoplist words and numeric tokens break runs. When a corpus-wide token
-    vocabulary is supplied, a trailing "s" is stripped from tokens longer
-    than 3 characters whose singular form is already in the vocabulary.
-    A sentence from ``segment`` has lost its run breaks; ``unit_candidates``
-    keeps them.
-    """
-    stopset = stoplist if isinstance(stoplist, (set, frozenset)) else frozenset(stoplist)
-    fate = {token: _fate(token, stopset, singular_vocabulary) for token in sentence}
-    return _candidates(sentence, fate)
-
-
 def unit_candidates(
     text: str,
     stoplist: Iterable[str],
@@ -279,7 +232,8 @@ def unit_candidates(
 
     Author citations are blanked first, and runs end at sentence ends, run
     breaks and possessives as well as at stoplist words and numeric tokens.
-    ``singular_vocabulary`` works as in ``extract_candidates``.
+    When ``singular_vocabulary`` is given, a trailing "s" is stripped from a
+    token longer than 3 characters whose singular form is in it.
     """
     stopset = stoplist if isinstance(stoplist, (set, frozenset)) else frozenset(stoplist)
     tokens = _tokenize(strip_citation_authors(text))

@@ -7,6 +7,7 @@ import re
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,19 +24,17 @@ from citemap.terms import (
     TITLE_ABSTRACT,
     LexiconEntry,
     build_lexicon,
-    extract_candidates,
     make_units,
     resolve_thesaurus,
     _AUTHOR_CITATION,
     _ET_AL,
-    _POSSESSIVE,
     _RUN_BREAK,
-    _SENTENCE_END,
+    _candidates,
+    _fate,
     _guarded,
     _sentence_ends,
     _tokenize,
     _strip_author,
-    segment,
     strip_citation_authors,
     unit_candidates,
 )
@@ -47,34 +46,54 @@ def by_term(lexicon) -> dict:
     return {entry.term: entry for entry in lexicon}
 
 
+def sentences_of(text: str) -> list[str]:
+    """``text`` cut after each of its sentence ends."""
+    ends = _sentence_ends(text)
+    return [text[start:end] for start, end in zip([0, *ends], [*ends, len(text)])]
+
+
+def without_marks(tokens: list[str]) -> list[str]:
+    return [token for token in tokens if token != _RUN_BREAK]
+
+
+def sentence_tokens(text: str) -> list[list[str]]:
+    """The tokens of each sentence of ``text``, without the break marks; a sentence with no token is left out."""
+    return [tokens for sentence in sentences_of(text) if (tokens := without_marks(_tokenize(sentence)))]
+
+
+def candidates_of(tokens, stoplist, singular_vocabulary=None) -> list[str]:
+    """The candidates of a token list, each token's fate worked out as the lexicon does."""
+    return _candidates(tokens, {token: _fate(token, stoplist, singular_vocabulary) for token in tokens})
+
+
 class TestSegment:
     def test_empty(self):
-        assert segment("") == []
+        assert sentence_tokens("") == []
 
     def test_splits_on_period_and_lowercases(self):
-        assert segment("Impact factor. It works.") == [["impact", "factor"], ["it", "works"]]
+        assert sentence_tokens("Impact factor. It works.") == [["impact", "factor"], ["it", "works"]]
 
     def test_abbreviation_guard(self):
-        sentences = segment("see Moed et al. 2010 for details")
+        sentences = sentence_tokens("see Moed et al. 2010 for details")
         assert len(sentences) == 1
         assert len(sentences[0]) == 7
         assert sentences[0] == ["see", "moed", "et", "al", "2010", "for", "details"]
 
     @pytest.mark.parametrize("guard", ["e.g.", "i.e.", "etc."])
     def test_other_guards(self, guard):
-        assert len(segment(f"metrics {guard} counts are used")) == 1
+        assert len(sentence_tokens(f"metrics {guard} counts are used")) == 1
 
     def test_semicolon_question_exclamation_split(self):
-        assert len(segment("One thing; another thing? a third thing! done")) == 4
+        assert len(sentence_tokens("One thing; another thing? a third thing! done")) == 4
 
     def test_hyphens_survive_inside_tokens(self):
-        assert segment("the h-index rocks") == [["the", "h-index", "rocks"]]
+        assert sentence_tokens("the h-index rocks") == [["the", "h-index", "rocks"]]
 
     def test_punctuation_is_stripped(self):
-        assert segment("(impact) factor, 'quoted'") == [["impact", "factor", "quoted"]]
+        assert sentence_tokens("(impact) factor, 'quoted'") == [["impact", "factor", "quoted"]]
 
     def test_no_split_without_whitespace(self):
-        assert segment("cost 3.5 units") == [["cost", "3", "5", "units"]]
+        assert sentence_tokens("cost 3.5 units") == [["cost", "3", "5", "units"]]
 
     @pytest.mark.parametrize("text", [
         "Methods were tested. Citation analysis shows bias.",
@@ -82,11 +101,11 @@ class TestSegment:
         "The co-ed. Citation analysis shows bias.",
     ])
     def test_guard_must_begin_a_token(self, text):
-        assert len(segment(text)) == 2
+        assert len(sentence_tokens(text)) == 2
 
     @pytest.mark.parametrize("text", ["No. 5 is cited.", "see (Fig. 2) here", "so-called [e.g. counts]"])
     def test_guard_after_punctuation_or_at_start(self, text):
-        assert len(segment(text)) == 1
+        assert len(sentence_tokens(text)) == 1
 
     def test_windowed_guard_matches_whole_prefix_lowercasing(self):
         def reference(text: str, i: int) -> bool:  # lowercases the whole prefix
@@ -141,6 +160,28 @@ def _oracle_segment(text: str) -> list[list[str]]:
     return [tokens for piece in _oracle_split_sentences(text) if (tokens := _oracle_tokenize(piece))]
 
 
+def _oracle_blank_possessives(piece: str) -> str:
+    """``piece`` with the "s" of each possessive blanked: an "s" after an apostrophe
+    that follows a token character, where the "s" ends a token."""
+    def token_char(i: int) -> bool:
+        return 0 <= i < len(piece) and (piece[i].isalnum() or piece[i] == "-")
+
+    return "".join(
+        " " if ch in "sS" and i >= 2 and piece[i - 1] in "'\u2019" and token_char(i - 2) and not token_char(i + 1)
+        else ch
+        for i, ch in enumerate(piece)
+    )
+
+
+def _assert_matches_oracle(text: str) -> None:
+    # the sentences, then the tokens of the whole text, which hold a possessive's mark where the oracle holds its "s"
+    pieces = _oracle_split_sentences(text)
+    assert [piece for piece in sentences_of(text) if piece.strip()] == pieces
+    assert without_marks(_tokenize(text)) == [
+        token for piece in pieces for token in _oracle_tokenize(_oracle_blank_possessives(piece))
+    ]
+
+
 # The tokenizer as one regular expression over each sentence, lowercasing token by
 # token, kept as the reference for the marks that _tokenize adds.
 _REFERENCE_DASHES = "\u2013\u2014"
@@ -155,12 +196,10 @@ def _reference_tokens(text: str) -> list[str]:
     tokens = []
     for start, end in zip([0, *ends], [*ends, len(text)]):
         if start:
-            tokens.append(_SENTENCE_END)
+            tokens.append(_RUN_BREAK)
         for raw in _REFERENCE_TOKEN.findall(text, start, end):
-            if raw[0] in RUN_BREAKERS or raw[0] in _REFERENCE_DASHES:
+            if raw[0] in RUN_BREAKERS or raw[0] in _REFERENCE_DASHES or raw[0] in "'\u2019":
                 tokens.append(_RUN_BREAK)
-            elif raw[0] in "'\u2019":
-                tokens.append(_POSSESSIVE)
             else:
                 tokens.append(raw.strip("-").lower() or _RUN_BREAK)
     return tokens
@@ -233,7 +272,7 @@ class TestKernelMatchesCharacterLoops:
     @given(st.lists(KERNEL_PIECES, max_size=20).map("".join))
     @settings(max_examples=400, deadline=None)
     def test_segment(self, text):
-        assert segment(text) == _oracle_segment(text)
+        _assert_matches_oracle(text)
 
     @given(st.lists(CANDIDATE_TOKENS, max_size=12), st.data())
     @settings(max_examples=300, deadline=None)
@@ -242,14 +281,14 @@ class TestKernelMatchesCharacterLoops:
         stop = data.draw(st.sets(st.sampled_from(["the", *sentence]), max_size=3))
         singulars = st.sampled_from(["factor", *sentence, *(t[:-1] for t in sentence if t.endswith("s"))])
         vocabulary = data.draw(st.none() | st.sets(singulars, min_size=1))
-        assert extract_candidates(sentence, stop, vocabulary) == _oracle_extract_candidates(sentence, stop, vocabulary)
+        assert candidates_of(sentence, stop, vocabulary) == _oracle_extract_candidates(sentence, stop, vocabulary)
 
     @given(st.lists(ASCII_KERNEL_PIECES, max_size=20).map("".join))
     @settings(max_examples=400, deadline=None)
     def test_segment_on_ascii_text(self, text):
         # st.text() above rarely draws an all-ASCII text, which translate maps by its ASCII fast path
         assert text.isascii()
-        assert segment(text) == _oracle_segment(text)
+        _assert_matches_oracle(text)
 
     @given(st.lists(ASCII_KERNEL_PIECES, max_size=20).map("".join))
     @settings(max_examples=400, deadline=None)
@@ -269,7 +308,8 @@ class TestKernelMatchesCharacterLoops:
         for path in (demo_corpus, planted_corpus):
             docs, contexts = load_corpus(path)
             texts += [f"{d.title} {d.abstract}" for d in docs] + [c.text for c in contexts]
-        assert [segment(t) for t in texts] == [_oracle_segment(t) for t in texts]
+        for text in texts:
+            _assert_matches_oracle(text)
 
 
 # the author-citation pattern before names could start with a non-ASCII capital or a prefix
@@ -336,33 +376,33 @@ class TestStripCitationAuthors:
 
 class TestExtractCandidates:
     def test_runs_and_suffixes(self):
-        cands = extract_candidates(
+        cands = candidates_of(
             ["the", "journal", "impact", "factor", "is", "useful"], {"the", "is"}
         )
         assert cands == ["journal impact factor", "impact factor", "factor", "useful"]
 
     def test_all_stoplist_sentence(self):
-        assert extract_candidates(["the", "is", "of"], {"the", "is", "of"}) == []
+        assert candidates_of(["the", "is", "of"], {"the", "is", "of"}) == []
 
     def test_numeric_token_breaks_run(self):
-        cands = extract_candidates(["cited", "1,500", "papers"], set())
+        cands = candidates_of(["cited", "1,500", "papers"], set())
         assert cands == ["cited", "papers"]
 
     def test_plural_merge_needs_vocabulary(self):
-        no_vocab = extract_candidates(["factors"], set())
+        no_vocab = candidates_of(["factors"], set())
         assert no_vocab == ["factors"]
-        merged = extract_candidates(["factors"], set(), singular_vocabulary={"factor", "factors"})
+        merged = candidates_of(["factors"], set(), singular_vocabulary={"factor", "factors"})
         assert merged == ["factor"]
 
     def test_plural_merge_is_conservative(self):
         # "analysis" has no observed singular, so it is left alone
         vocab = {"analysis", "citation"}
-        cands = extract_candidates(["citation", "analysis"], set(), singular_vocabulary=vocab)
+        cands = candidates_of(["citation", "analysis"], set(), singular_vocabulary=vocab)
         assert cands == ["citation analysis", "analysis"]
 
     def test_short_tokens_never_merged(self):
         vocab = {"ga", "gas"}
-        assert extract_candidates(["gas"], set(), singular_vocabulary=vocab) == ["gas"]
+        assert candidates_of(["gas"], set(), singular_vocabulary=vocab) == ["gas"]
 
 
 class TestMakeUnits:
@@ -480,17 +520,11 @@ class TestBuildLexicon:
         stop = {"the", "and", "by", "again"}
         lexicon = build_lexicon(units, min_occurrences=1, stoplist=stop)
 
-        from citemap.terms import segment as lib_segment, strip_citation_authors as strip
-        vocabulary = set()
-        for u in units:
-            for sentence in lib_segment(strip(u)):
-                vocabulary.update(sentence)
+        tokenized = [_tokenize(strip_citation_authors(u)) for u in units]
+        vocabulary = {token for tokens in tokenized for token in tokens}
         expected = Counter()
-        for u in units:
-            seen = set()
-            for sentence in lib_segment(strip(u)):
-                seen.update(extract_candidates(sentence, stop, vocabulary))
-            expected.update(seen)
+        for tokens in tokenized:
+            expected.update(set(candidates_of(tokens, stop, vocabulary)))
         assert {e.term: e.occurrence_count for e in lexicon} == dict(expected)
 
     def test_repeated_tokens_share_one_string(self):
@@ -511,7 +545,7 @@ class TestBuildLexicon:
 
 
 class TestRunBreaks:
-    # a break ends a candidate run in the lexicon, while segment keeps its tokens as before
+    # a break ends a candidate run in the lexicon, and leaves one mark among the tokens
     @pytest.mark.parametrize("prefix", ["", "\u00fcber "], ids=["ascii", "non-ascii"])
     @pytest.mark.parametrize("breaker", [*RUN_BREAKERS, " - ", " -- ", " \u2013 ", " \u2014 ", " \u2014\u2014 ",
                                          "\n\u2013\t"])
@@ -520,7 +554,7 @@ class TestRunBreaks:
         terms = set(by_term(build_lexicon([text], min_occurrences=1)))
         assert {"citation analysis", "peer review", "analysis", "review"} <= terms
         assert not [term for term in terms if "analysis peer" in term]
-        assert segment(text) == [[*prefix.split(), "citation", "analysis", "peer", "review"]]
+        assert _tokenize(text) == [*prefix.split(), "citation", "analysis", _RUN_BREAK, "peer", "review"]
 
     @pytest.mark.parametrize("prefix", ["", "\u00fcber "], ids=["ascii", "non-ascii"])
     @pytest.mark.parametrize("possessive", ["'s", "\u2019s", "'S"])
@@ -529,7 +563,7 @@ class TestRunBreaks:
         terms = set(by_term(build_lexicon([text], min_occurrences=1, stoplist={"the"})))
         assert {"journal", "impact factor", "factor"} <= terms
         assert not [term for term in terms if term.startswith("s ") or " s " in term]
-        assert segment(text) == [[*prefix.split(), "the", "journal", "s", "impact", "factor"]]
+        assert _tokenize(text) == [*prefix.split(), "the", "journal", _RUN_BREAK, "impact", "factor"]
 
     @pytest.mark.parametrize("text, term", [
         ("co-word analysis", "co-word analysis"),  # a hyphen inside a token
@@ -556,8 +590,7 @@ class TestRunBreaks:
     @settings(max_examples=300, deadline=None)
     def test_unit_candidates_are_what_the_lexicon_counts(self, units):
         stoplist = {"the", "of"}
-        vocabulary = {token for text in units for sentence in segment(strip_citation_authors(text))
-                      for token in sentence}
+        vocabulary = {token for text in units for token in _tokenize(strip_citation_authors(text))}
         counts: dict[str, dict[int, int]] = {}
         for position, text in enumerate(units):
             for term, times in Counter(unit_candidates(text, stoplist, vocabulary)).items():
@@ -570,14 +603,21 @@ class TestRunBreaks:
         # "İ" lowercases to two characters
         units = ["ΟΔΟΣ\u2019s δρόμος", "the ΟΔΟΣ"]
         assert entries(build_lexicon(units, 2)) == [("οδος", [(0, 1), (1, 1)])]
-        assert segment(units[0]) == [["οδος", "s", "δρόμος"]]
+        assert _tokenize(units[0]) == ["οδος", _RUN_BREAK, "δρόμος"]
         assert unit_candidates("\u0130stanbul\u2019s harbour \u2013 a port", ()) == [
             "i\u0307stanbul", "harbour", "a port", "port"]
 
-    def test_unit_candidates_keep_the_breaks_that_segment_drops(self):
+    def test_unit_candidates_keep_a_comma_break(self):
         text = "citation analysis, peer review"
         assert unit_candidates(text, ()) == ["citation analysis", "analysis", "peer review", "review"]
-        assert "citation analysis peer review" in extract_candidates(segment(text)[0], ())
+
+    # every break leaves the one mark that a comma leaves
+    @pytest.mark.parametrize("separator", [*(f"{end} " for end in SENTENCE_BREAKERS), *RUN_BREAKERS,
+                                           " - ", " \u2013 ", " \u2014 ", "'s ", "\u2019s ", "'S "])
+    def test_every_break_gives_what_a_comma_gives(self, separator):
+        text, comma = f"citation analysis{separator}peer review", "citation analysis, peer review"
+        assert unit_candidates(text, ()) == unit_candidates(comma, ())
+        assert entries(build_lexicon([text], 1)) == entries(build_lexicon([comma], 1))
 
 
 # The lexicon as built before units were tokenized in one pass: sentences by the
@@ -686,6 +726,19 @@ class TestWordListFiles:
         from citemap.errors import ParseError
         with pytest.raises(ParseError, match=":1:"):
             _resolve_word_lists(PipelineConfig(thesaurus=str(path)))
+
+    @pytest.mark.parametrize("name, content", [
+        ("stoplist", "citation\nanalysis\n"),
+        ("exclusions", "citation analysis\npeer review\n"),
+        ("thesaurus", "jif\tjournal impact factor\nsci\tscience citation index\n"),
+    ])
+    def test_byte_order_mark_is_no_part_of_the_first_entry(self, tmp_path, name, content):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(content.encode("utf-8"))
+        marked.write_bytes(content.encode("utf-8-sig"))
+        without, with_bom = (_resolve_word_lists(PipelineConfig(**{name: str(path)})) for path in (plain, marked))
+        assert with_bom.digests[name] != without.digests[name]  # the digest is of the file's bytes
+        assert replace(with_bom, digests=without.digests) == without
 
     def test_resolve_thesaurus_chains(self):
         resolved = resolve_thesaurus({"a": "b", "b": "c"})
