@@ -10,23 +10,23 @@ files read (``pipeline.Run``), from the corpus load up to the last one below:
     cluster     clusters.tsv                                                  clustering                             no
     layout      map.tsv                                                       clustering and layout                  worker
     export      map.tsv, network.tsv, network_terms.tsv, graph.json, map.svg  clustering and layout                  worker
-    compare     comparison.json                                               clustering and layout, 3 side by side  yes
+    compare     comparison.json                                               3 clusterings side by side, 3 layouts  worker
     pipeline    export's files, corpus_stats.json, manifest.json              clustering and layout                  worker
 
 numpy is imported only to lay out a map. layout, export and pipeline compute
-their stages by ``pipeline.analyze``, which on more than one CPU forks a
-layout worker that imports numpy beside the text stages and then lays out the
-map, so this process never imports it ("worker" above); on one CPU the
-layout imports it here. compare imports it once before it forks
-its workers, or at its first layout on one CPU. Importing this module loads
-only the standard library and ``citemap``.
+their stages by ``pipeline.analyze``, and compare by
+``pipeline.compare_networks``. On more than one CPU each forks one layout
+worker when it starts, which imports numpy beside the text stages and then
+lays out the map, or compare's three maps, so this process never imports it
+("worker" above); on one CPU the first layout imports it here. Importing this
+module loads only the standard library and ``citemap``.
 
 compare reads only the three networks but still computes their maps: it loads
-the corpus three times, then builds the three networks and maps side by side
-on up to three workers, one per CPU (``citemap.fork``). Every subcommand
-writes its files all or nothing, so a failed write keeps the earlier run's
-files. Settings come from flags, which override a JSON config file, which
-overrides the built-in defaults.
+the corpus three times, builds the three networks and their clusterings side
+by side on up to three workers, one per CPU (``citemap.fork``), then lays out
+the three maps in turn. Every subcommand writes its files all or nothing, so
+a failed write keeps the earlier run's files. Settings come from flags, which
+override a JSON config file, which overrides the built-in defaults.
 
 Exit codes: 0 success, 2 configuration error, 3 input/parse error. Each
 data-quality warning (CitemapWarning) is one ``warning: <message>`` line on

@@ -21,7 +21,7 @@ numpy is imported inside the functions that use it, not at module level, so
 importing this module (and ``citemap.cli``, which imports every module) loads
 only the standard library. ``layout_worker`` forks a process that imports
 numpy at once, while this process does other work, and ``layout`` then has it
-lay out the map. The n x n arrays then live in the worker, which sets
+lay out each map. The n x n arrays then live in the worker, which sets
 ``OPENBLAS_NUM_THREADS=1``: where numpy uses OpenBLAS, its second thread
 would spin on the CPU this process needs, and a threaded inverse changes the
 map's last bits with the thread count. Other BLAS libraries ignore the
@@ -205,9 +205,9 @@ def layout(
     hook); for disconnected inputs only the final assembled objective is
     traced. Raises ConfigError above ``MAX_LAYOUT_TERMS`` terms.
 
-    ``worker`` is a ``layout_worker()`` not yet called. Unless ``trace`` is
-    given, the map is computed there, and its error raised here; a worker
-    that died raises ChildProcessError.
+    ``worker`` is a ``layout_worker()``, called once per map. Unless
+    ``trace`` is given, the map is computed there, and its error raised
+    here; a worker that died raises ChildProcessError.
     """
     if worker is not None and trace is None:
         laid_out = worker(sim, seed, max_iter, tol)
@@ -232,13 +232,13 @@ def _lay_out_or_error(sim: SimilarityMatrix, seed: int, max_iter: int, tol: floa
 
 
 def layout_worker() -> fork.ForkedCall | None:
-    """A process forked to import numpy beside this one's work and lay out a map, or None where it would not pay.
+    """A process forked to import numpy beside this one's work and lay out maps, or None where it would not pay.
 
-    Pass it to ``layout`` as ``worker``, and close it on every path. None on
-    one CPU; when numpy is already imported, as in compare's workers, since a
-    child would then neither save the import nor choose its BLAS thread
-    count; and when the fork fails. ``layout`` then computes the map in this
-    process.
+    Pass it to ``layout`` as ``worker`` for each map, and close it on every
+    path. None on one CPU; when numpy is already imported, as in a test
+    process or a library caller's, since a child would then neither save the
+    import nor choose its BLAS thread count; and when the fork fails.
+    ``layout`` then computes the map in this process.
     """
     if fork.cpus() < 2 or "numpy" in sys.modules:
         return None

@@ -369,48 +369,52 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     return write_outputs(analyze(config), OUTPUT_NAMES)
 
 
-def _mapped_network(run: Run) -> CoocNetwork | Exception:
-    """``run``'s network once its map is computed, as ``analyze`` computes it, or the error a stage raised."""
+def _clustered(run: Run) -> tuple[CoocNetwork, SimilarityMatrix] | Exception:
+    """``run``'s network and similarity once its clustering is computed, as ``analyze`` computes it, or the
+    error a stage raised."""
     try:
-        run.clustering, run.map_layout
+        run.clustering
     except (CitemapError, ValueError, OSError) as exc:
         return exc
-    return run.network
+    return run.network, run.similarity
 
 
 def compare_networks(config: PipelineConfig) -> ComparisonReport:
     """Build the three networks (cited, citing, context) and compare them.
 
-    The three corpus loads run here, one after another. The networks and
-    their maps are then computed side by side on up to three workers, one
-    per CPU (``fork.forked``); this process is worker 0 and computes the
-    cited one. A failed stage comes back as data, and the first failure in
-    cited, citing, context order is raised: the one a run of the three in
-    turn would stop at.
-
-    With more than one worker, numpy is imported here before the fork, since
-    every worker lays out: the forks share the one import instead of each
-    paying for it while another worker computes. With one worker the first
-    layout imports it, as in every other command.
+    Where ``layout_worker()`` forks a worker, it starts first, so numpy loads
+    beside the three corpus loads, which run here one after another. The
+    networks and their clusterings are then computed side by side on up to
+    three workers, one per CPU (``fork.forked``); this process is worker 0
+    and computes the cited one. A failed stage comes back as data. The three
+    maps are laid out here last, in cited, citing, context order, by the
+    layout worker if there is one, so no network worker imports numpy. The
+    first failure in that order is raised, a network's before its map's:
+    the one a run of the three in turn would stop at. The worker is reaped
+    before this returns or raises.
     """
-    runs = [
-        Run(replace(config, mode=TITLE_ABSTRACT, doc_set="cited")),
-        Run(replace(config, mode=TITLE_ABSTRACT, doc_set="citing")),
-        Run(replace(config, mode=CITATION_CONTEXT)),
-    ]
-    tasks = len(runs)
+    worker = layout_worker()
+    try:
+        runs = [
+            Run(replace(config, mode=TITLE_ABSTRACT, doc_set="cited")),
+            Run(replace(config, mode=TITLE_ABSTRACT, doc_set="citing")),
+            Run(replace(config, mode=CITATION_CONTEXT)),
+        ]
+        tasks = len(runs)
 
-    def networks(share: range) -> list[CoocNetwork | Exception]:
-        mine = {task: runs[task] for task in share}
-        runs.clear()  # every other worker holds a copy of the Runs it owns
-        # popped, so each Run is freed once its network is out
-        return [_mapped_network(mine.pop(task)) for task in share]
+        def networks(share: range) -> list[tuple[CoocNetwork, SimilarityMatrix] | Exception]:
+            mine = {task: runs[task] for task in share}
+            runs.clear()  # every other worker holds a copy of the Runs it owns
+            # popped, so each Run is freed once its network is out
+            return [_clustered(mine.pop(task)) for task in share]
 
-    workers = min(tasks, fork.cpus())  # one worker: all in this process
-    if workers > 1:
-        import numpy  # noqa: F401  loaded here for the forked workers to share
-    results = fork.forked(networks, tasks, workers)
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return triplet_report(*results)
+        results = fork.forked(networks, tasks, min(tasks, fork.cpus()))  # one worker: all in this process
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
+            _stage("layout", layout, result[1], config.seed, config.layout_max_iter, config.layout_tol,
+                   worker=worker)
+    finally:
+        if worker is not None:
+            worker.close()
+    return triplet_report(*(network for network, _ in results))

@@ -99,7 +99,8 @@ class TestForkedCompare:
             assert reports[1] == COMPARISON_GOLDEN.read_bytes()
 
 
-# where the layout fails, and how: a stage failure, a crash (not a stage error), or a dead process
+# where a stage fails, and how: a stage failure, a crash (not a stage error), or a dead process. A network
+# worker fails in its clustering; this process, which lays out the three maps, fails in a layout
 COMPARE_FAILURES = [("child", "raise"), ("child", "crash"), ("child", "exit"), ("parent", "raise"), ("parent", "crash")]
 
 
@@ -109,34 +110,35 @@ class TestFailingCompareWorker:
 
     @pytest.fixture
     def fail_in(self, monkeypatch):
-        def arm(where: str, how: str) -> type[Exception]:
-            parent, real_layout = os.getpid(), pipeline_module.layout
+        def arm(where: str, how: str) -> tuple[type[Exception], str]:
+            stage = "layout" if where == "parent" else "cluster"
+            parent, real_stage = os.getpid(), getattr(pipeline_module, stage)
 
-            def failing_layout(*args, **kwargs):
+            def failing_stage(*args, **kwargs):
                 if (os.getpid() == parent) == (where == "parent"):
                     if how == "exit":
                         os._exit(1)
-                    raise (ValueError if how == "raise" else RuntimeError)("injected layout failure")
-                return real_layout(*args, **kwargs)
+                    raise (ValueError if how == "raise" else RuntimeError)(f"injected {stage} failure")
+                return real_stage(*args, **kwargs)
 
-            monkeypatch.setattr(pipeline_module, "layout", failing_layout)
+            monkeypatch.setattr(pipeline_module, stage, failing_stage)
             set_cpus(monkeypatch, 4)
             if how == "raise":
-                return StageError
-            return RuntimeError if where == "parent" else ChildProcessError
+                return StageError, stage
+            return RuntimeError if where == "parent" else ChildProcessError, stage
         return arm
 
     @pytest.mark.parametrize("where, how", COMPARE_FAILURES)
     def test_compare_raises(self, fail_in, where, how, planted_corpus, tmp_path, capsys):
-        expected = fail_in(where, how)
+        expected, stage = fail_in(where, how)
         start = time.monotonic()
         with pytest.raises(expected) as caught:
             compare_networks(PipelineConfig(corpus=str(planted_corpus)))
         assert time.monotonic() - start < 10.0
         assert_no_children_left()
         if expected is StageError:
-            assert caught.value.stage == "layout"
-            assert str(caught.value) == "stage 'layout' failed: injected layout failure"
+            assert caught.value.stage == stage
+            assert str(caught.value) == f"stage '{stage}' failed: injected {stage} failure"
         if expected is not RuntimeError:  # the CLI reports what it can act on, with exit code 3
             capsys.readouterr()
             assert main(["compare", "--corpus", str(planted_corpus), "--out", str(tmp_path / "out")]) == 3
@@ -178,6 +180,29 @@ class TestForkedCall:
         call.close()
         assert_no_children_left()
 
+    def test_serves_calls_in_order(self):
+        call = fork_module.ForkedCall(lambda text: (text[::-1], os.getpid()), lambda: None)
+        texts = ["abc", "x" * 200_000 + "y", "d"]  # the second is larger than a pipe's buffer, both ways
+        assert [call(text) for text in texts] == [(text[::-1], call.pid) for text in texts]
+        call.close()
+        assert_no_children_left()
+
+    def test_killed_between_calls_fails_the_next_call(self):
+        call = fork_module.ForkedCall(lambda a: a + 1, lambda: None)
+        assert call(1) == 2
+        os.kill(call.pid, signal.SIGKILL)
+        with pytest.raises(ChildProcessError, match="exited with code -9"):
+            call(2)
+        assert_no_children_left()
+        call.close()
+
+    def test_close_after_calls_leaves_no_child(self):
+        call = fork_module.ForkedCall(lambda a: a * 2, lambda: None)
+        assert [call(a) for a in range(3)] == [0, 2, 4]
+        call.close()
+        call.close()
+        assert_no_children_left()
+
     def test_raising_call_is_child_process_error(self, capfd):
         call = fork_module.ForkedCall(lambda: 1 / 0, lambda: None)
         with pytest.raises(ChildProcessError, match="exited with code 1"):
@@ -197,6 +222,21 @@ def failing_layout_probe(how: str) -> str:
             f"    {action}\n"
             "    return lay_out(*args)\n"
             "layout_module._lay_out = failing")
+
+
+# patches that interrupt a CLI run on two CPUs: one while it clusters, before the layout worker is called
+INTERRUPTS = {
+    "clustering": "import citemap.pipeline\ndef interrupt(*args):\n    raise KeyboardInterrupt\n"
+                  "citemap.pipeline.cluster = interrupt",
+    # one while it waits for the worker's map: an alarm, and a layout that would take 30 s
+    "layout": "import signal, time\nlayout_module = sys.modules['citemap.layout']\n"
+              "def interrupt(signum, frame):\n    raise KeyboardInterrupt\n"
+              "signal.signal(signal.SIGALRM, interrupt)\n"
+              "def slow(*args):\n    time.sleep(30)\n"
+              "layout_module._lay_out = slow\ncall = fork.ForkedCall.__call__\n"
+              "def alarmed(self, *args):\n    signal.setitimer(signal.ITIMER_REAL, 0.5)\n    return call(self, *args)\n"
+              "fork.ForkedCall.__call__ = alarmed",
+}
 
 
 def numpy_uses_openblas() -> bool:
@@ -239,6 +279,31 @@ class TestLayoutWorker:
         assert (runs[2].workers, runs[2].numpy, runs[2].children_left) == (1, False, False)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("layout_limit, error", [
+        (None, "stage 'cluster' failed: injected"),
+        (5, "stage 'layout' failed: cannot lay out 31 terms, the limit is 5; raise --min-occurrences to keep fewer "
+            "terms"),
+    ])
+    def test_compare_reports_the_first_failure_in_network_order(self, layout_limit, error, planted_corpus, tmp_path):
+        # the clustering fails on the citing network alone, the planted corpus's only one of more than 40
+        # terms (cited 31, citing 47, context 30); a lowered limit fails every layout, the cited map's first
+        patch = ("import citemap.pipeline\ncluster = citemap.pipeline.cluster\n"
+                 "def failing(sim, *args):\n"
+                 "    if len(sim.terms) > 40:\n"
+                 "        raise ValueError('injected')\n"
+                 "    return cluster(sim, *args)\n"
+                 "citemap.pipeline.cluster = failing\n")
+        if layout_limit is not None:
+            patch += f"sys.modules['citemap.layout'].MAX_LAYOUT_TERMS = {layout_limit}\n"
+        runs = {cpus: run_cli_fresh(["compare", "--corpus", planted_corpus, "--out", tmp_path / "out"], patch, cpus)
+                for cpus in (1, 2)}
+        assert runs[1].stderr == f"error: {error}\n"
+        assert runs[2].stderr == runs[1].stderr
+        assert runs[1].code == runs[2].code == (3 if layout_limit is None else 2)
+        assert (runs[2].workers, runs[2].numpy, runs[2].children_left) == (1, False, False)
+        assert runs[1].children_left is False
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_oversized_map_is_config_error(self, cpus, demo_corpus, tmp_path):
         patch = "sys.modules['citemap.layout'].MAX_LAYOUT_TERMS = 5"
@@ -260,23 +325,27 @@ class TestLayoutWorker:
         assert run.stderr == f"error: stage 'layout' failed: {error}\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("patch", [
-        # in the clustering, before the worker is called
-        "import citemap.pipeline\ndef interrupt(*args):\n    raise KeyboardInterrupt\n"
-        "citemap.pipeline.cluster = interrupt",
-        # while this process waits for the worker's map: an alarm, and a layout that would take 30 s
-        "import signal, time\nlayout_module = sys.modules['citemap.layout']\n"
-        "def interrupt(signum, frame):\n    raise KeyboardInterrupt\n"
-        "signal.signal(signal.SIGALRM, interrupt)\n"
-        "def slow(*args):\n    time.sleep(30)\n"
-        "layout_module._lay_out = slow\ncall = fork.ForkedCall.__call__\n"
-        "def alarmed(self, *args):\n    signal.setitimer(signal.ITIMER_REAL, 0.5)\n    return call(self, *args)\n"
-        "fork.ForkedCall.__call__ = alarmed",
-    ], ids=["clustering", "layout"])
+    def test_killed_worker_fails_compare_at_its_first_map(self, planted_corpus, tmp_path):
+        argv = ["compare", "--corpus", planted_corpus, "--out", tmp_path / "out"]
+        run = run_cli_fresh(argv, failing_layout_probe("killed"), cpus=2)
+        assert (run.code, run.workers, run.numpy, run.children_left) == (3, 1, False, False)
+        assert run.stderr == "error: stage 'layout' failed: forked worker exited with code -9\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("patch", list(INTERRUPTS.values()), ids=list(INTERRUPTS))
     def test_interrupt_stops_the_worker(self, patch, demo_corpus, tmp_path):
         start = time.monotonic()
         run = run_cli_fresh(["pipeline", "--corpus", demo_corpus, "--out", tmp_path / "out"], patch, cpus=2)
         assert (run.code, run.workers, run.children_left) == ("interrupted", 1, False)
+        assert time.monotonic() - start < 20.0
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("patch", list(INTERRUPTS.values()), ids=list(INTERRUPTS))
+    def test_interrupt_stops_every_compare_child(self, patch, planted_corpus, tmp_path):
+        # the network workers and the layout worker alike
+        start = time.monotonic()
+        run = run_cli_fresh(["compare", "--corpus", planted_corpus, "--out", tmp_path / "out"], patch, cpus=2)
+        assert (run.code, run.workers, run.numpy, run.children_left) == ("interrupted", 1, False, False)
         assert time.monotonic() - start < 20.0
         assert not (tmp_path / "out").exists()
 

@@ -554,16 +554,23 @@ class TestImportHygiene:
         assert run.numpy == (lays_out and cpus == 1)
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_compare_imports_numpy_before_it_forks(self, cpus, planted_corpus, tmp_path):
-        # forked workers share the parent's import; on one CPU the first layout imports numpy
-        probe = ("import json, sys; import citemap.fork as fork; from citemap.cli import main; "
-                 f"fork.cpus = lambda: {cpus}; loaded = []; forked = fork.forked; "
-                 "fork.forked = lambda *args: loaded.append('numpy' in sys.modules) or forked(*args); "
+    def test_compare_imports_numpy_only_without_a_layout_worker(self, cpus, planted_corpus, tmp_path):
+        # on more than one CPU one layout worker imports numpy and lays out the three maps; on one CPU
+        # the first layout imports it here
+        probe = ("import json, sys; import citemap.fork as fork; import citemap.pipeline as pipeline; "
+                 f"from citemap.cli import main; fork.cpus = lambda: {cpus}; workers = []; loaded = []; "
+                 "make_worker = fork.ForkedCall.__init__; "
+                 "fork.ForkedCall.__init__ = lambda self, *args: workers.append(1) or make_worker(self, *args); "
+                 "lay_out = pipeline.layout; "
+                 "pipeline.layout = lambda *args, **kwargs: loaded.append('numpy' in sys.modules) "
+                 "or lay_out(*args, **kwargs); "
                  f"code = main(['compare', '--corpus', {str(planted_corpus)!r}, '--out', {str(tmp_path)!r}]); "
-                 "print(json.dumps([code, loaded[0]]))")
+                 "print(json.dumps([code, len(workers), loaded, 'numpy' in sys.modules]))")
         result = run_fresh(probe)
-        assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout.splitlines()[-1]) == [0, cpus > 1]
+        assert (result.returncode, result.stderr) == (0, "")
+        # exit code, layout workers forked, numpy loaded at each layout, and at the end
+        expected = [0, 1, [False] * 3, False] if cpus > 1 else [0, 0, [False, True, True], True]
+        assert json.loads(result.stdout.splitlines()[-1]) == expected
         golden = Path(__file__).parent / "golden" / "planted" / "comparison.json"
         assert (tmp_path / "comparison.json").read_bytes() == golden.read_bytes()
 
