@@ -10,16 +10,17 @@ files read (``pipeline.Run``), from the corpus load up to the last one below:
     cluster     clusters.tsv                                                  clustering                             no
     layout      map.tsv                                                       clustering and layout                  worker
     export      map.tsv, network.tsv, network_terms.tsv, graph.json, map.svg  clustering and layout                  worker
-    compare     comparison.json                                               3 clusterings side by side, 3 layouts  worker
+    compare     comparison.json                                               clustering and layout of 3 networks    worker
     pipeline    export's files, corpus_stats.json, manifest.json              clustering and layout                  worker
 
-numpy is imported only to lay out a map. layout, export and pipeline compute
-their stages by ``pipeline.analyze``, and compare by
-``pipeline.compare_networks``. On more than one CPU each forks one layout
-worker when it starts, which imports numpy beside the text stages and then
-lays out the map, or compare's three maps, so this process never imports it
-("worker" above); on one CPU the first layout imports it here. Importing this
-module loads only the standard library and ``citemap``.
+numpy is imported only to lay out a map. layout, export, pipeline and compare
+compute their stages by ``pipeline._analyze``: the first three through
+``pipeline.analyze``, one map, and compare through
+``pipeline.compare_networks``, three. On more than one CPU it forks one layout
+worker when the command starts, which imports numpy beside the text stages and
+then lays out each map, so this process never imports it ("worker" above); on
+one CPU the first layout imports it here. Importing this module loads only the
+standard library and ``citemap``.
 
 compare reads only the three networks but still computes their maps: it loads
 the corpus three times, builds the three networks and their clusterings side

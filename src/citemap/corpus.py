@@ -152,7 +152,8 @@ def load_corpus(path: str | Path, data: bytes | None = None) -> tuple[tuple[Docu
     """Parse a corpus dump and return ``(documents, contexts)``, a tuple and a list in file order.
 
     ``data`` is the dump's bytes, already read from ``path``; when None, the
-    file is read here. Either way ``path`` names the dump in messages.
+    file is read here. Either way ``path`` names the dump in messages. A
+    leading UTF-8 byte order mark is skipped.
     Duplicate document ids, and duplicate contexts (same citing_id, cited_id
     and ordinal), are deduplicated first-wins; duplicates and contexts
     referencing unknown documents each raise one CitemapWarning that starts
@@ -166,7 +167,7 @@ def load_corpus(path: str | Path, data: bytes | None = None) -> tuple[tuple[Docu
     contexts: list[CitationContext] = []
     context_lines: list[int] = []
     context_keys: set[tuple[str, str, int]] = set()
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig") as fh:  # a leading BOM is no part of line 1
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -257,22 +257,50 @@ class Run:
                       worker=self.layout_worker)
 
 
-def analyze(config: PipelineConfig) -> Run:
-    """A run with every stage computed, clustering before layout (no files written).
+def _clustered(run: Run) -> dict[str, object] | Exception:
+    """``run``'s stages up to its clustering, by property name, or the error a stage raised."""
+    try:
+        return {name: getattr(run, name) for name in ("network", "similarity", "clustering")}
+    except (CitemapError, ValueError, OSError) as exc:
+        return exc
 
-    Where ``layout_worker()`` forks a worker, it starts before the corpus is
-    read, so numpy loads beside the text stages, and it lays out the map
-    once this process has clustered. It is reaped before this returns or
-    raises.
+
+def _analyze(configs: list[PipelineConfig]) -> list[Run]:
+    """One run per config with every stage computed, the maps in config order (no files written).
+
+    Where ``layout_worker()`` forks a worker, it starts first, so numpy loads
+    beside the corpus loads. The runs are then clustered side by side on up
+    to one worker per config and per CPU (``fork.forked``; this process is
+    worker 0), and a worker's stages become the cached stages of this
+    process's run. The maps follow in config order, in the layout worker if
+    there is one. The first failure in that order is raised, a clustering's
+    before its map's: the one running the configs in turn would stop at. The
+    worker is reaped before this returns or raises.
     """
     worker = layout_worker()
     try:
-        run = Run(config, worker)
-        run.clustering, run.map_layout  # reading a stage computes it
+        runs = [Run(config, worker) for config in configs]
+        tasks = len(runs)
+        results = fork.forked(lambda share: [_clustered(runs[task]) for task in share], tasks,
+                              min(tasks, fork.cpus()))
+        for run, result in zip(runs, results):
+            if isinstance(result, Exception):
+                raise result
+            vars(run).update(result)  # a cached_property reads its value from the instance dict
+            run.map_layout  # reading a stage computes it
     finally:
         if worker is not None:
             worker.close()
-    return run
+    return runs
+
+
+def analyze(config: PipelineConfig) -> Run:
+    """A run with every stage computed, clustering before layout (no files written).
+
+    Its layout worker, if one is forked, imports numpy beside the text stages
+    and lays out the map once this process has clustered (see ``_analyze``).
+    """
+    return _analyze([config])[0]
 
 
 def build_manifest(run: Run, outputs: Iterable[str]) -> dict:
@@ -369,52 +397,12 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     return write_outputs(analyze(config), OUTPUT_NAMES)
 
 
-def _clustered(run: Run) -> tuple[CoocNetwork, SimilarityMatrix] | Exception:
-    """``run``'s network and similarity once its clustering is computed, as ``analyze`` computes it, or the
-    error a stage raised."""
-    try:
-        run.clustering
-    except (CitemapError, ValueError, OSError) as exc:
-        return exc
-    return run.network, run.similarity
-
-
 def compare_networks(config: PipelineConfig) -> ComparisonReport:
-    """Build the three networks (cited, citing, context) and compare them.
-
-    Where ``layout_worker()`` forks a worker, it starts first, so numpy loads
-    beside the three corpus loads, which run here one after another. The
-    networks and their clusterings are then computed side by side on up to
-    three workers, one per CPU (``fork.forked``); this process is worker 0
-    and computes the cited one. A failed stage comes back as data. The three
-    maps are laid out here last, in cited, citing, context order, by the
-    layout worker if there is one, so no network worker imports numpy. The
-    first failure in that order is raised, a network's before its map's:
-    the one a run of the three in turn would stop at. The worker is reaped
-    before this returns or raises.
-    """
-    worker = layout_worker()
-    try:
-        runs = [
-            Run(replace(config, mode=TITLE_ABSTRACT, doc_set="cited")),
-            Run(replace(config, mode=TITLE_ABSTRACT, doc_set="citing")),
-            Run(replace(config, mode=CITATION_CONTEXT)),
-        ]
-        tasks = len(runs)
-
-        def networks(share: range) -> list[tuple[CoocNetwork, SimilarityMatrix] | Exception]:
-            mine = {task: runs[task] for task in share}
-            runs.clear()  # every other worker holds a copy of the Runs it owns
-            # popped, so each Run is freed once its network is out
-            return [_clustered(mine.pop(task)) for task in share]
-
-        results = fork.forked(networks, tasks, min(tasks, fork.cpus()))  # one worker: all in this process
-        for result in results:
-            if isinstance(result, Exception):
-                raise result
-            _stage("layout", layout, result[1], config.seed, config.layout_max_iter, config.layout_tol,
-                   worker=worker)
-    finally:
-        if worker is not None:
-            worker.close()
-    return triplet_report(*(network for network, _ in results))
+    """Compare the cited, citing and context networks, built with their clusterings and maps by ``_analyze``:
+    side by side on up to three workers, one per CPU, the maps in cited, citing, context order."""
+    runs = _analyze([
+        replace(config, mode=TITLE_ABSTRACT, doc_set="cited"),
+        replace(config, mode=TITLE_ABSTRACT, doc_set="citing"),
+        replace(config, mode=CITATION_CONTEXT),
+    ])
+    return triplet_report(*(run.network for run in runs))

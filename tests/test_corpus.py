@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import re
 import warnings
@@ -20,7 +21,7 @@ from citemap.corpus import (
     write_corpus,
 )
 from citemap.errors import CitemapWarning, ConfigError, ConsistencyError, ParseError
-from citemap.pipeline import PipelineConfig
+from citemap.pipeline import PipelineConfig, Run
 from citemap.terms import CITATION_CONTEXT, make_units
 
 from conftest import ctx, doc
@@ -241,6 +242,19 @@ class TestLoadCorpus:
         path.write_text('{"kind": "document", "id": "a", "title": "x", "set_tag": "cited"}\n{nope\n', encoding="utf-8")
         with pytest.raises(ParseError, match=r":2:"):
             load_corpus(path)
+
+    def test_byte_order_mark_is_skipped(self, demo_corpus, tmp_path):
+        data = demo_corpus.read_bytes()
+        marked = tmp_path / "bom.jsonl"
+        marked.write_bytes(b"\xef\xbb\xbf" + data)
+        assert load_corpus(marked) == load_corpus(demo_corpus)
+        stats = {}
+        for label, path in (("plain", demo_corpus), ("marked", marked)):
+            assert main(["ingest", "--corpus", str(path), "--out", str(tmp_path / label)]) == 0
+            stats[label] = (tmp_path / label / "corpus_stats.json").read_bytes()
+        assert stats["marked"] == stats["plain"]
+        # the digest is of the file's bytes, mark and all
+        assert Run(PipelineConfig(corpus=str(marked))).corpus_digest == hashlib.sha256(marked.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("record", [
         {"kind": "context", "citing_id": "a", "cited_id": "a", "text": 5},

@@ -20,7 +20,7 @@ import citemap.pipeline as pipeline_module
 from citemap.cli import main
 from citemap.errors import ConfigError, StageError
 from citemap.exports import write_json
-from citemap.pipeline import PipelineConfig, compare_networks
+from citemap.pipeline import PipelineConfig, analyze, compare_networks
 
 from conftest import assert_no_children_left, run_cli_fresh, run_fresh, set_cpus
 
@@ -75,18 +75,24 @@ def planted_1k(monkeypatch, tmp_path) -> PipelineConfig:
     return PipelineConfig(corpus=str(path), min_occurrences=10, layout_max_iter=300)
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The (tasks, workers) of every ``fork.forked`` call this process makes, in order."""
+    calls = []
+    real_forked = fork_module.forked
+    monkeypatch.setattr(fork_module, "forked", lambda run, tasks, workers: calls.append((tasks, workers))
+                        or real_forked(run, tasks, workers))
+    return calls
+
+
 @pytest.mark.usefixtures("deadline")
 class TestForkedCompare:
     @pytest.mark.parametrize("corpus", ["golden", "planted_1k"])
-    def test_same_report_on_one_and_four_cpus(self, corpus, planted_corpus, tmp_path, monkeypatch):
+    def test_same_report_on_one_and_four_cpus(self, corpus, forks, planted_corpus, tmp_path, monkeypatch):
         if corpus == "golden":
             config = PipelineConfig(corpus=str(planted_corpus))
         else:
             config = planted_1k(monkeypatch, tmp_path)
-        forks = []
-        real_forked = fork_module.forked
-        monkeypatch.setattr(fork_module, "forked", lambda run, tasks, workers: forks.append((tasks, workers))
-                            or real_forked(run, tasks, workers))
         reports = {}
         for cpus in (1, 4):
             set_cpus(monkeypatch, cpus)
@@ -97,6 +103,38 @@ class TestForkedCompare:
         assert reports[4] == reports[1]
         if corpus == "golden":
             assert reports[1] == COMPARISON_GOLDEN.read_bytes()
+
+    def test_one_config_forks_no_network_worker(self, forks, demo_corpus, planted_corpus, monkeypatch):
+        set_cpus(monkeypatch, 4)
+        analyze(PipelineConfig(corpus=str(demo_corpus)))
+        assert forks[0] == (1, 1)  # the one run, in this process; its clustering's restarts fork after
+        assert_no_children_left()
+        forks.clear()
+        compare_networks(PipelineConfig(corpus=str(planted_corpus)))
+        assert forks[0] == (3, 3)
+        assert_no_children_left()
+
+    @pytest.mark.parametrize("corpus", ["golden", "planted_1k"])
+    def test_runs_equal_each_config_analyzed_alone(self, corpus, forks, planted_corpus, tmp_path, monkeypatch):
+        # the citing and context runs are clustered in network workers, which hand their stages back
+        if corpus == "golden":
+            config = PipelineConfig(corpus=str(planted_corpus))
+        else:
+            config = planted_1k(monkeypatch, tmp_path)
+        runs, real_analyze = [], pipeline_module._analyze
+        monkeypatch.setattr(pipeline_module, "_analyze", lambda configs: runs.extend(real_analyze(configs)) or runs)
+        set_cpus(monkeypatch, 4)
+        compare_networks(config)
+        assert forks[0] == (3, 3) and len(runs) == 3
+        monkeypatch.setattr(pipeline_module, "_analyze", real_analyze)
+        set_cpus(monkeypatch, 1)
+        for run in runs:
+            alone = analyze(run.config)
+            assert run.network == alone.network
+            assert run.similarity == alone.similarity
+            assert run.clustering == alone.clustering
+            assert pickle.dumps(run.map_layout) == pickle.dumps(alone.map_layout)  # positions and objective, bit for bit
+        assert_no_children_left()
 
 
 # where a stage fails, and how: a stage failure, a crash (not a stage error), or a dead process. A network
